@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt
+from functools import cached_property, lru_cache
+from math import isqrt, lcm
 
-from .linalg import Mat, det, inverse, mat, mat_mul
+from .linalg import Mat, det, gram_schmidt_row, inverse, lll_gram, mat, mat_mul
 from .orders import (
     TwoSidedIdeal,
     ZLat4,
@@ -201,27 +201,6 @@ def verify_arakelov_modular(
 # --- exact shortest-vector enumeration ----------------------------------------
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational."""
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def _floor_center_plus_root(c: Fraction, r2: Fraction) -> int:
-    """floor(-c + sqrt(r2)) computed exactly (r2 >= 0)."""
-    mc = -c
-    g = mc.numerator // mc.denominator + _floor_sqrt(r2)
-
-    def fits(m: int) -> bool:
-        s = m + c
-        return s <= 0 or s * s <= r2
-
-    while fits(g + 1):
-        g += 1
-    while not fits(g):
-        g -= 1
-    return g
-
-
 def _ldl(gram: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
     """G = L D L^T with unit lower-triangular L; raises if not positive definite."""
     n = len(gram)
@@ -239,45 +218,86 @@ def _ldl(gram: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, low
 
 
+@lru_cache(maxsize=1)
+def _reduced(gram: Mat) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
+    """lll_gram(gram), after checking that gram is positive definite.
+
+    The check comes first because LLL needs a positive definite matrix.
+    The last result is cached: minimum_and_kissing reads its starting
+    bound from the reduced matrix and then enumerates through
+    short_vectors, which thus reuses the reduction instead of repeating it.
+    """
+    _ldl(gram)
+    return lll_gram(gram)
+
+
+def _enumerate(gram: Mat, bound: Fraction):
+    """Fincke-Pohst: yield (y, y·G·y^T) for every nonzero integer y with
+    y·G·y^T <= bound, G positive definite.
+
+    All arithmetic is on integers.  With G scaled to an integer matrix and
+    d_k, lam[j][k] its fraction-free Gram-Schmidt data (1-based),
+    y·G·y^T = sum_k (d_k·y_k + N_k)^2 / (d_{k-1}·d_k) with
+    N_k = sum_{j>k} lam[j][k]·y_j; scaling by the lcm of the denominators
+    makes every partial sum an integer.
+    """
+    n = len(gram)
+    den = lcm(*(x.denominator for row in gram for x in row))
+    g = [[0] * (n + 1)] + [[0] + [int(x * den) for x in row] for row in gram]
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    d = [1] + [0] * n
+    for k in range(1, n + 1):
+        gram_schmidt_row(g, lam, d, k)
+    scale = lcm(*(d[k - 1] * d[k] for k in range(1, n + 1)))
+    weight = [0] + [scale // (d[k - 1] * d[k]) for k in range(1, n + 1)]
+    total = bound * den * scale
+    total = total.numerator // total.denominator
+    coords = [0] * (n + 1)
+
+    def level(k: int, budget: int):
+        num = sum(lam[j][k] * coords[j] for j in range(k + 1, n + 1))
+        root = isqrt(budget // weight[k])
+        for y in range(-((root + num) // d[k]), (root - num) // d[k] + 1):
+            coords[k] = y
+            t = d[k] * y + num
+            rest = budget - weight[k] * t * t
+            if k > 1:
+                yield from level(k - 1, rest)
+            elif any(coords):
+                yield tuple(coords[1:]), Fraction((total - rest) // scale, den)
+        coords[k] = 0
+
+    yield from level(n, total)
+
+
 def short_vectors(gram, bound):
     """Yield (coords, value) for all nonzero x with x·G·x^T <= bound.
 
-    Pure rational Fincke-Pohst style bound propagation; both signs of
-    each vector are produced.  Enumeration order is deterministic.
+    The enumeration runs on the LLL-reduced Gram matrix G_red = U·G·U^T
+    (see :func:`lll_gram`), and each vector y found there is returned as
+    x = y·U, so the coordinates are in the basis of the input.  Both signs
+    of each vector are produced.  The order is deterministic but not
+    lexicographic in x.
     """
     gram = mat(gram)
     bound = Fraction(bound)
-    n = len(gram)
-    d, low = _ldl(gram)
+    g_red, u = _reduced(gram)
     if bound < 0:
         return
-
-    coords = [0] * n
-
-    def level(i: int, budget: Fraction, acc: Fraction):
-        center = sum(low[j][i] * coords[j] for j in range(i + 1, n))
-        r2 = budget / d[i]
-        hi = _floor_center_plus_root(center, r2)
-        lo = -_floor_center_plus_root(-center, r2)
-        for x in range(lo, hi + 1):
-            coords[i] = x
-            s = x + center
-            val = d[i] * s * s
-            if i == 0:
-                if any(coords):
-                    yield tuple(coords), acc + val
-            else:
-                yield from level(i - 1, budget - val, acc + val)
-        coords[i] = 0
-
-    yield from level(n - 1, bound, Fraction(0))
+    cols = tuple(zip(*u))
+    for y, val in _enumerate(g_red, bound):
+        yield tuple(sum(a * b for a, b in zip(y, col)) for col in cols), val
 
 
 def minimum_and_kissing(gram) -> tuple[Fraction, int]:
     """Exact minimum of the quadratic form over nonzero integer vectors,
-    together with the number of vectors attaining it (counting both signs)."""
+    together with the number of vectors attaining it (counting both signs).
+
+    The search starts at the least diagonal entry of the LLL-reduced Gram
+    matrix, which is already the minimum or close to it."""
     gram = mat(gram)
-    best = min(gram[k][k] for k in range(len(gram)))
+    g_red = _reduced(gram)[0]
+    best = min(g_red[k][k] for k in range(len(g_red)))
     count = 0
     for _, val in short_vectors(gram, best):
         if val < best:

@@ -233,6 +233,105 @@ def lattice_intersect(bases) -> Mat:
     return lattice_canonical_basis(transpose(inverse(s)))
 
 
+# --- LLL reduction of a positive definite Gram matrix -----------------------
+
+
+def gram_schmidt_row(g, lam, d, k: int) -> None:
+    """Row k of the fraction-free Gram-Schmidt data of an integer Gram matrix.
+
+    All arrays are 1-based (row and column 0 unused) and ``d[0] = 1``.
+    Given rows 1..k-1, sets ``lam[k][j] = d_j·μ_kj`` for j < k and ``d[k]``,
+    the Gram determinant of the first k vectors; every division is exact.
+    """
+    for j in range(1, k + 1):
+        u = g[k][j]
+        for i in range(1, j):
+            u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+        if j < k:
+            lam[k][j] = u
+    d[k] = u
+
+
+def lll_gram(gram) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
+    """LLL-reduce a positive definite Gram matrix with δ = 99/100.
+
+    Returns ``(G_red, U)`` with ``U`` unimodular over the integers and
+    ``G_red = U·G·Uᵀ``: row i of ``U`` gives the i-th reduced basis
+    vector in the input basis.  A rational matrix is first scaled by the
+    lcm of its denominators.  This is Cohen's fraction-free integral LLL
+    (*A Course in Computational Algebraic Number Theory*, Alg. 2.6.7),
+    which keeps d_i (the Gram determinant of the first i vectors) and
+    λ_ij = d_j·μ_ij as integers.  Raises ValueError when the matrix is not
+    symmetric positive definite.
+    """
+    m = mat(gram)
+    n = len(m)
+    if any(len(row) != n or m[i][j] != m[j][i]
+           for i, row in enumerate(m) for j in range(len(row))):
+        raise ValueError("gram matrix must be square and symmetric")
+    den = lcm(*(x.denominator for row in m for x in row))
+    # 1-based as in Cohen; index 0 of every vector array is unused
+    g = [[0] * (n + 1)] + [[0] + [int(x * den) for x in row] for row in m]
+    h = [[0] * (n + 1)] + [
+        [0] + [int(i == j) for j in range(1, n + 1)] for i in range(1, n + 1)
+    ]
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    d = [1] + [0] * n
+
+    def red(k: int, l: int) -> None:
+        # size-reduce b_k against b_l so that |μ_kl| <= 1/2
+        if 2 * abs(lam[k][l]) <= d[l]:
+            return
+        q = (2 * lam[k][l] + d[l]) // (2 * d[l])  # nearest integer to μ_kl
+        for row in (h, g):
+            rk, rl = row[k], row[l]
+            for j in range(1, n + 1):
+                rk[j] -= q * rl[j]
+        for row in g[1:]:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l]
+        for i in range(1, l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        h[k], h[k - 1] = h[k - 1], h[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g[1:]:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lk * t) // d[k - 1]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k]
+        d[k - 1] = b
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt_row(g, lam, d, k)
+            if d[k] <= 0:
+                raise ValueError("gram matrix is not positive definite")
+        if k == 1:
+            k = 2
+            continue
+        red(k, k - 1)
+        # Lovász condition d_k·d_{k-2} >= (99/100)·d_{k-1}² - λ_{k,k-1}²
+        if 100 * (d[k] * d[k - 2] + lam[k][k - 1] ** 2) < 99 * d[k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+            continue
+        for l in range(k - 2, 0, -1):
+            red(k, l)
+        k += 1
+
+    g_red = tuple(tuple(Fraction(x, den) for x in row[1:]) for row in g[1:])
+    return g_red, tuple(tuple(row[1:]) for row in h[1:])
+
+
 # --- small dense linear algebra over the prime field F_p ---------------------
 
 

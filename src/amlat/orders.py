@@ -27,7 +27,7 @@ from .linalg import (
     modp_rref,
     vec_mat,
 )
-from .numth import prime_factors, rational_sqrt
+from .numth import _val, prime_factors, rational_sqrt
 from .quaternion import QElem, QuaternionAlgebra
 
 
@@ -539,7 +539,7 @@ def maximalize(order: Order) -> Order:
         bad = min(
             p
             for p in prime_factors(cur.reduced_disc)
-            if _valuation(cur.reduced_disc, p) > _valuation(target, p)
+            if _val(cur.reduced_disc, p)[0] > _val(target, p)[0]
         )
         nxt = _enlarge_at(cur, bad)
         if nxt is None:
@@ -550,14 +550,6 @@ def maximalize(order: Order) -> Order:
     if not is_maximal(cur):  # pragma: no cover - definitional
         raise MaximalizationFailed("exit order is not maximal")
     return cur
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # --- catalog of explicit maximal-order bases ----------------------------------

@@ -260,9 +260,27 @@ def test_min_rejects_asymmetric(tmp_path, capsys):
 
 def test_min_rejects_indefinite(tmp_path, capsys):
     gram = tmp_path / "gram.txt"
-    gram.write_text("1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 1\n")
-    code, _, _ = run(capsys, "min", "--gram", str(gram))
-    assert code == 1
+    for text in (
+        "1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 1\n",
+        "1 1 0 0\n1 1 0 0\n0 0 1 0\n0 0 0 1\n",  # singular and semidefinite
+    ):
+        gram.write_text(text)
+        code, _, err = run(capsys, "min", "--gram", str(gram))
+        assert code == 1
+        assert "not positive definite" in err
+
+
+def test_min_skewed_gram(tmp_path, capsys):
+    # G = B·B^T for a basis of Z^4 whose vectors all have length about n,
+    # so the diagonal is about n^2 while the minimum is 1
+    n = 10**6
+    b = [(n, 1, 0, 0), (n + 1, 1, 0, 0), (0, 0, n, 1), (0, 0, n + 1, 1)]
+    rows = [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
+    gram = tmp_path / "gram.txt"
+    gram.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    code, out, _ = run(capsys, "min", "--gram", str(gram))
+    assert code == 0
+    assert json.loads(out) == {"kissing": 8, "min": "1"}
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amlat.lattices import (
     IdealLattice,
@@ -12,7 +15,7 @@ from amlat.lattices import (
     short_vectors,
     verify_arakelov_modular,
 )
-from amlat.linalg import det, mat
+from amlat.linalg import det, identity, inverse, mat, mat_mul, transpose, vec_mat
 from amlat.orders import (
     TwoSidedIdeal,
     ideal_pow,
@@ -296,3 +299,51 @@ def test_short_vectors_on_skew_lattice():
                     if q <= 120:
                         counts[q] += 1
     assert counts == Counter(enum.values())
+
+
+# --- short_vectors against an exact oracle on G = U0·diag(d)·U0^T ---------------
+
+
+@st.composite
+def diagonalized_forms(draw):
+    """(U0, d, bound): a random unimodular U0 built from elementary row
+    operations, positive rational d and a rational bound."""
+    n = draw(st.integers(1, 4))
+    u0 = [list(row) for row in identity(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u0[i] = [-x for x in u0[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            u0[i] = [x + c * y for x, y in zip(u0[i], u0[j])]
+    d = draw(st.lists(st.builds(F, st.integers(1, 20), st.integers(1, 3)),
+                      min_size=n, max_size=n))
+    bound = draw(st.builds(F, st.integers(-1, 24), st.integers(1, 4)))
+    return mat(u0), d, bound
+
+
+def oracle_short_vectors(u0, d, bound):
+    """All (y·U0^-1, sum d_i y_i^2) <= bound, by a box over y."""
+    u0_inv = inverse(u0)
+    boxes = [range(-r, r + 1) for r in
+             (isqrt(int(max(bound, 0) / di)) for di in d)]
+    out = set()
+    for y in product(*boxes):
+        val = sum(di * yi * yi for di, yi in zip(d, y))
+        if any(y) and val <= bound:
+            out.add((tuple(int(x) for x in vec_mat(y, u0_inv)), val))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonalized_forms())
+def test_short_vectors_match_diagonal_oracle(form):
+    u0, d, bound = form
+    gram = mat_mul(mat_mul(u0, mat([[di if i == j else 0 for j in range(len(d))]
+                                    for i, di in enumerate(d)])), transpose(u0))
+    got = list(short_vectors(gram, bound))
+    assert len(got) == len(set(got))
+    assert set(got) == oracle_short_vectors(u0, d, bound)
+    m = min(d)
+    assert minimum_and_kissing(gram) == (m, 2 * d.count(m))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amlat.linalg import (
     SingularBasis,
@@ -13,11 +15,13 @@ from amlat.linalg import (
     lattice_canonical_basis,
     lattice_contains,
     lattice_intersect,
+    lll_gram,
     mat,
     mat_mul,
     modp_nullspace,
     modp_rref,
     solve,
+    transpose,
 )
 
 F = Fraction
@@ -233,3 +237,61 @@ def test_modp_rref_and_nullspace():
     for x in ns:
         for row in rows:
             assert sum(a * b for a, b in zip(row, x)) % 5 == 0
+
+
+# --- LLL on Gram matrices -----------------------------------------------------
+
+
+def gram_schmidt(g):
+    """Independent oracle: (B*, mu) of a Gram matrix by exact Gram-Schmidt."""
+    n = len(g)
+    bstar = [F(0)] * n
+    mu = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (
+                g[i][j] - sum(mu[j][k] * mu[i][k] * bstar[k] for k in range(j))
+            ) / bstar[j]
+        bstar[i] = g[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i))
+    return bstar, mu
+
+
+@st.composite
+def rational_bases(draw):
+    """Full-rank square matrices with small rational entries."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+    rows = mat(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(det(rows) != 0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_bases())
+def test_lll_gram_properties(basis):
+    g = mat_mul(basis, transpose(basis))
+    g_red, u = lll_gram(g)
+    assert all(isinstance(x, int) for row in u for x in row)
+    assert abs(det(mat(u))) == 1
+    assert g_red == mat_mul(mat_mul(mat(u), g), transpose(mat(u)))
+    bstar, mu = gram_schmidt(g_red)
+    for i in range(len(g)):
+        for j in range(i):
+            assert abs(mu[i][j]) <= F(1, 2)
+        if i:
+            assert bstar[i] >= (F(99, 100) - mu[i][i - 1] ** 2) * bstar[i - 1]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[1, 1], [1, 1]],
+        [[1, 0], [0, -1]],
+        [[0, 0], [0, 0]],
+        [[1, 2], [2, 1]],
+        [[2, 1], [0, 2]],
+    ],
+)
+def test_lll_gram_rejects_asymmetric_or_not_positive_definite(g):
+    with pytest.raises(ValueError):
+        lll_gram(g)
