@@ -123,7 +123,11 @@ def algebra_for_prime(ell: int) -> tuple[QuaternionAlgebra, int, int | None]:
 
 def order_for_prime(ell: int) -> tuple[QuaternionAlgebra, int, int | None, Order]:
     """Algebra plus a maximal order: catalog basis when one exists,
-    otherwise the maximalization of the standard basis order."""
+    otherwise the maximalization of the standard basis order.
+
+    In case 4 the algebra is (-q, -ell), and maximalize returns Pizer's
+    closed-form order Z<(1+i)/2, (j+ij)/2, (i+c·ij)/q, ij> with
+    q | c²·ell + 1, without any search."""
     algebra, case, q = algebra_for_prime(ell)
     if case == 1:
         order = preset_order("case1", algebra)

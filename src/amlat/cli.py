@@ -23,7 +23,7 @@ from .lattices import (
     minimum_and_kissing,
     verify_arakelov_modular,
 )
-from .numth import hilbert_symbol, is_prime, prime_factors
+from .numth import REAL_PLACE, hilbert_places, hilbert_symbol, is_prime
 from .orders import (
     CATALOG_BASES,
     PRESET_ALIASES,
@@ -249,12 +249,10 @@ def cmd_hilbert(args) -> int:
         symbol = hilbert_symbol(args.a, args.b, args.p)
         _emit({"a": args.a, "b": args.b, "p": args.p, "symbol": symbol})
         return EXIT_OK
-    places: list[int] = [2]
-    for p in prime_factors(args.a * args.b):
-        if p != 2:
-            places.append(p)
-    symbols = [["inf", hilbert_symbol(args.a, args.b, -1)]]
-    symbols += [[str(p), hilbert_symbol(args.a, args.b, p)] for p in places]
+    symbols = [
+        ["inf" if p == REAL_PLACE else str(p), hilbert_symbol(args.a, args.b, p)]
+        for p in hilbert_places(args.a, args.b)
+    ]
     product = 1
     for _, s in symbols:
         product *= s

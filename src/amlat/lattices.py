@@ -201,33 +201,14 @@ def verify_arakelov_modular(
 # --- exact shortest-vector enumeration ----------------------------------------
 
 
-def _ldl(gram: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """G = L D L^T with unit lower-triangular L; raises if not positive definite."""
-    n = len(gram)
-    d = [Fraction(0)] * n
-    low = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = gram[i][i] - sum(d[k] * low[i][k] * low[i][k] for k in range(i))
-        if d[i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        low[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            low[j][i] = (
-                gram[j][i] - sum(d[k] * low[j][k] * low[i][k] for k in range(i))
-            ) / d[i]
-    return d, low
-
-
 @lru_cache(maxsize=1)
 def _reduced(gram: Mat) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
-    """lll_gram(gram), after checking that gram is positive definite.
+    """lll_gram(gram), which also rejects a matrix that is not positive definite.
 
-    The check comes first because LLL needs a positive definite matrix.
     The last result is cached: minimum_and_kissing reads its starting
     bound from the reduced matrix and then enumerates through
     short_vectors, which thus reuses the reduction instead of repeating it.
     """
-    _ldl(gram)
     return lll_gram(gram)
 
 

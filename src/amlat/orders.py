@@ -27,7 +27,7 @@ from .linalg import (
     modp_rref,
     vec_mat,
 )
-from .numth import _val, prime_factors, rational_sqrt
+from .numth import _val, is_prime, prime_factors, rational_sqrt
 from .quaternion import QElem, QuaternionAlgebra
 
 
@@ -526,14 +526,51 @@ def _enlarge_at(order: Order, p: int) -> Order | None:
     return None
 
 
+def _pizer_order(algebra: QuaternionAlgebra) -> Order | None:
+    """Pizer's order Z<(1+i)/2, (j+ij)/2, (i+c·ij)/q, ij> of (-q, -m), or None.
+
+    The recipe needs q prime, q = 3 (mod 4), q not dividing m > 0, and c
+    with q | c²m + 1.  Since q = 3 (mod 4), c = (-1/m)^((q+1)/4) mod q is
+    a square root of -1/m whenever one exists, so no search is needed.
+    The order is maximal in the algebras of case 4 (m a prime = 1 mod 8,
+    (-m/q) = 1), but not for every m: (-7, -10) has reduced discriminant
+    5 and the order 10.  Callers therefore check is_maximal.
+    """
+    q, m = -algebra.a, -algebra.b
+    if q < 3 or q % 4 != 3 or m < 1 or m % q == 0 or not is_prime(q):
+        return None
+    c = pow(-pow(m, -1, q), (q + 1) // 4, q)
+    if (c * c * m + 1) % q:
+        return None
+    h = Fraction(1, 2)
+    rows = (
+        (h, h, 0, 0),
+        (0, 0, h, h),
+        (0, Fraction(1, q), 0, Fraction(c, q)),
+        (0, 0, 0, 1),
+    )
+    return order_from_basis(algebra, rows)
+
+
 def maximalize(order: Order) -> Order:
     """A maximal order containing the given one.
 
-    Climbs prime by prime (ascending) while the reduced discriminant
-    exceeds the algebra's; each step strictly decreases it, so the loop
-    terminates.
+    A non-maximal order of (-q, -m) is first tried against Pizer's
+    closed-form maximal order (Pizer, "An algorithm for computing modular
+    forms on Γ0(N)", J. Algebra 64 (1980), §5), which is returned when it
+    is maximal and contains the given order.  Otherwise the order climbs
+    prime by prime (ascending) while its reduced discriminant exceeds the
+    algebra's; each step strictly decreases it, so the loop terminates.
     """
     target = order.algebra.reduced_discriminant
+    if order.reduced_disc != target:
+        pizer = _pizer_order(order.algebra)
+        if (
+            pizer is not None
+            and is_maximal(pizer)
+            and all(pizer.lattice.contains(x) for x in order.lattice.elements())
+        ):
+            return pizer
     cur = order
     while cur.reduced_disc != target:
         bad = min(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from amlat import orders
 from amlat.classify import (
     NoPlanFound,
     algebra_for_prime,
@@ -86,6 +87,28 @@ def test_order_for_prime_case4_is_maximal():
     _, _, _, order = order_for_prime(17)
     assert is_maximal(order)
     assert order.reduced_disc == 17
+
+
+def test_construct_case4_needs_no_order_search(monkeypatch):
+    # the closed-form maximal order must serve case 4 without the climb's
+    # element search, whatever q is
+    def no_search(order, p):
+        raise AssertionError(f"element search at {p}")
+
+    monkeypatch.setattr(orders, "_enlarge_at", no_search)
+    for ell, q in ((17, 3), (41, 3), (1129, 11), (1873, 23), (2689, 19)):
+        assert algebra_for_prime(ell)[2] == q
+        lattice, cert = construct(ell)
+        assert cert.valid
+        assert lattice.discriminant == ell**2
+
+
+def test_construct_1217_kissing_six():
+    # Pizer's order contains the units of Z[(1+sqrt(-3))/2]; the order the
+    # climb used to reach gives another level-1217 lattice with kissing 2
+    lattice, cert = construct(1217)
+    assert cert.valid
+    assert lattice.minimum_and_kissing() == (F(2), 6)
 
 
 def test_search_beta_finds_witness():

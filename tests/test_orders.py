@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from amlat import orders
+from amlat.classify import algebra_for_prime, residue_case
 from amlat.linalg import det
+from amlat.numth import is_prime
 from amlat.orders import (
     NotARing,
     NotFullRank,
@@ -146,6 +149,40 @@ def test_maximalize_case4_algebras():
         m = maximalize(order_from_basis(alg, STD))
         assert m.reduced_disc == abs(b)
         assert is_maximal(m)
+
+
+def _no_climb(order, p):
+    raise AssertionError(f"maximalize climbed at {p}")
+
+
+def test_maximalize_case4_primes_use_pizer_order(monkeypatch):
+    # every case-4 prime below 3000 gets Pizer's order without any climb
+    monkeypatch.setattr(orders, "_enlarge_at", _no_climb)
+    levels = [
+        ell for ell in range(3, 3000) if is_prime(ell) and residue_case(ell) == 4
+    ]
+    assert len(levels) == 101
+    for ell in levels:
+        alg, _, q = algebra_for_prime(ell)
+        m = maximalize(order_from_basis(alg, STD))
+        assert m.reduced_disc == ell, (ell, q)
+        assert all(m.lattice.contains(x) for x in alg.basis_elements())
+
+
+def test_maximalize_minus3_minus17_is_ell17_catalog(ell17):
+    alg = QuaternionAlgebra(-3, -17)
+    assert maximalize(order_from_basis(alg, STD)).lattice == ell17.lattice
+
+
+def test_maximalize_climbs_when_pizer_order_not_maximal():
+    # (-7,-10) has the shape (7 = 3 mod 4, 7 | 3^2*10 + 1), but the
+    # closed-form order is not maximal there, so the climb must run
+    alg = QuaternionAlgebra(-7, -10)
+    pizer = orders._pizer_order(alg)
+    assert pizer is not None and not is_maximal(pizer)
+    m = maximalize(order_from_basis(alg, STD))
+    assert m.reduced_disc == alg.reduced_discriminant == 5
+    assert is_maximal(m)
 
 
 def test_maximalize_recovers_from_shrunken_suborders(catalog):
