@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .lattices import (
     IdealLattice,
@@ -95,53 +95,78 @@ def residue_case(ell: int) -> int:
     return 4
 
 
+def pizer_algebra(support: tuple[int, ...]) -> tuple[QuaternionAlgebra, int]:
+    """Pizer's algebra (-q, -D), D = prod S, for a support S of odd size.
+
+    q is the least prime q = 3 (mod 4) with (p/q) = -1 for each odd p in
+    S, and q = 3 (mod 8) when 2 is in S.  By quadratic reciprocity and
+    the product formula this says exactly that (-q, -D) ramifies at S
+    alone and that q | c²D + 1 for some c (Pizer, J. Algebra 64 (1980),
+    §5).  Returns (algebra, q).
+    """
+    d = prod(support)
+    odd = [p for p in support if p != 2]
+    q = 3
+    while not (
+        is_prime(q)
+        and q % 4 == 3
+        and all(legendre(p, q) == -1 for p in odd)
+        and (d % 2 or q % 8 == 3)
+    ):
+        q += 1
+    algebra = QuaternionAlgebra(-q, -d)
+    _check_ramification(algebra, support)
+    return algebra, q
+
+
+def _check_ramification(algebra: QuaternionAlgebra, support: tuple[int, ...]):
+    if algebra.ramified_primes != support:
+        raise RamificationCheckFailed(
+            f"{algebra!r} ramifies at {algebra.ramified_primes}, wanted {support}"
+        )
+
+
 def algebra_for_prime(ell: int) -> tuple[QuaternionAlgebra, int, int | None]:
     """The definite algebra ramified exactly at the prime ell.
 
-    Returns (algebra, case, q) where q is the auxiliary prime used when
-    ell = 1 mod 8 (smallest q = 3 mod 4 with (ell/q) = -1), else None.
+    Returns (algebra, case, q) where q is the auxiliary prime of Pizer's
+    algebra (-q, -ell) used when ell = 1 mod 8 (smallest q = 3 mod 4 with
+    (ell/q) = -1), else None.
     """
     case = residue_case(ell)
-    q: int | None = None
+    if case == 4:
+        algebra, q = pizer_algebra((ell,))
+        return algebra, case, q
     if case == 1:
         algebra = QuaternionAlgebra(-1, -1)
     elif case == 2:
         algebra = QuaternionAlgebra(-1, -ell)
-    elif case == 3:
-        algebra = QuaternionAlgebra(-2, -ell)
     else:
-        q = 3
-        while not (is_prime(q) and q % 4 == 3 and legendre(ell, q) == -1):
-            q += 1
-        algebra = QuaternionAlgebra(-q, -ell)
-    if algebra.ramified_primes != (ell,):
-        raise RamificationCheckFailed(
-            f"{algebra!r} ramifies at {algebra.ramified_primes}, wanted ({ell},)"
-        )
-    return algebra, case, q
+        algebra = QuaternionAlgebra(-2, -ell)
+    _check_ramification(algebra, (ell,))
+    return algebra, case, None
+
+
+def _maximal_order(algebra: QuaternionAlgebra, case: int | None) -> Order:
+    """The catalog order in cases 1-3; otherwise the maximalization of the
+    standard order, which in Pizer's algebras is his closed-form order."""
+    if case in (1, 2, 3):
+        return preset_order(f"case{case}", algebra)
+    return maximalize(order_from_basis(algebra, _STANDARD_BASIS))
 
 
 def order_for_prime(ell: int) -> tuple[QuaternionAlgebra, int, int | None, Order]:
-    """Algebra plus a maximal order: catalog basis when one exists,
-    otherwise the maximalization of the standard basis order.
-
-    In case 4 the algebra is (-q, -ell), and maximalize returns Pizer's
-    closed-form order Z<(1+i)/2, (j+ij)/2, (i+c·ij)/q, ij> with
-    q | c²·ell + 1, without any search."""
+    """Algebra plus a maximal order: the catalog basis in cases 1-3; in
+    case 4 Pizer's closed-form order Z<(1+i)/2, (j+ij)/2, (i+c·ij)/q, ij>
+    of (-q, -ell), which maximalize returns without any search."""
     algebra, case, q = algebra_for_prime(ell)
-    if case == 1:
-        order = preset_order("case1", algebra)
-    elif case == 2:
-        order = preset_order("case2", algebra)
-    elif case == 3:
-        order = preset_order("case3", algebra)
-    else:
-        order = maximalize(order_from_basis(algebra, _STANDARD_BASIS))
-    return algebra, case, q, order
+    return algebra, case, q, _maximal_order(algebra, case)
 
 
-def beta_for(algebra: QuaternionAlgebra, order: Order, case: int) -> QElem:
-    """The normalizing element of reduced norm ell for a prime-level case."""
+def beta_for(algebra: QuaternionAlgebra, order: Order, case: int | None) -> QElem:
+    """The normalizing element of the order with reduced norm the product
+    of the ramified primes: i - j in case 1, otherwise j (case None is
+    Pizer's algebra of a composite support)."""
     if case == 1:
         beta, target = algebra.i - algebra.j, 2
     else:
@@ -180,20 +205,6 @@ def search_beta(order: Order, m: int) -> QElem | None:
     return None
 
 
-def _grid_algebra(support: tuple[int, ...], ell2: int) -> QuaternionAlgebra:
-    """First algebra (lexicographic grid order) ramified exactly at support."""
-    values = [-1, -2]
-    values += [-q for q in range(3, 4 * ell2 + 1) if is_prime(q)]
-    for a in values:
-        for b in values:
-            alg = QuaternionAlgebra(a, b)
-            if alg.ramified_primes == support:
-                return alg
-    raise NoPlanFound(
-        f"no algebra in the search grid has ramified set {set(support)}"
-    )
-
-
 @dataclass(frozen=True)
 class ConstructionPlan:
     """Everything needed to realize a level: algebra, order, witnesses."""
@@ -210,36 +221,37 @@ class ConstructionPlan:
 
 
 def plan_level(ell: int) -> ConstructionPlan:
-    """Resolve the full construction plan for a level, or raise NoPlanFound."""
+    """Resolve the full construction plan for a level, or raise NoPlanFound.
+
+    The odd-exponent primes S of ell must be odd in number.  One prime
+    takes its case's algebra and order; three or more take Pizer's
+    algebra (-q, -prod S) and closed-form order (case None), which j
+    normalizes.  beta_for gives beta with trd 0 and nrd prod S, so
+    beta2 = beta·prod (-p)^((r_p - 1)/2) has reduced norm ell2.
+    """
     if ell < 2:
         raise NoPlanFound("level must be at least 2")
     split = split_level(ell)
-    if not split.odd_support:
+    support = split.odd_support
+    if not support:
         raise NoPlanFound(
             "square level: the finite ramification of a definite algebra "
             "is never empty"
         )
-    if len(split.odd_support) % 2 == 0:
+    if len(support) % 2 == 0:
         raise NoPlanFound(
             "the primes with odd exponent must be odd in number to form "
             "the finite ramification of a definite algebra"
         )
     exps = dict(split.exponents)
-    if len(split.odd_support) == 1:
-        p = split.odd_support[0]
-        algebra, case, q, order = order_for_prime(p)
-        beta2 = beta_for(algebra, order, case) ** exps[p]
+    if len(support) == 1:
+        algebra, case, q = algebra_for_prime(support[0])
     else:
-        algebra = _grid_algebra(split.odd_support, split.ell2)
-        case = q = None
-        order = maximalize(order_from_basis(algebra, _STANDARD_BASIS))
-        beta2 = search_beta(order, split.ell2)
-        if beta2 is None:
-            raise NoPlanFound(
-                f"no element of reduced norm {split.ell2} normalizes the "
-                f"maximal order of {algebra!r}"
-            )
-    ideal_exps = tuple((p, (exps[p] - 1) // 2) for p in split.odd_support)
+        algebra, q = pizer_algebra(support)
+        case = None
+    order = _maximal_order(algebra, case)
+    ideal_exps = tuple((p, (exps[p] - 1) // 2) for p in support)
+    beta2 = prod((-p) ** e for p, e in ideal_exps) * beta_for(algebra, order, case)
     return ConstructionPlan(
         ell=ell,
         ell1=split.ell1,

@@ -55,11 +55,6 @@ def vec_mat(v, m: Mat) -> Vec:
     )
 
 
-def scale(m: Mat, c) -> Mat:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def hnf(m) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Row-style Hermite normal form of an integer matrix.
 
@@ -201,13 +196,6 @@ def inverse(m: Mat) -> Mat:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return tuple(tuple(row[n:]) for row in a)
-
-
-def solve(m: Mat, v) -> Vec:
-    """Solve ``m @ x = v`` exactly; raises SingularMatrix when det = 0."""
-    inv = inverse(m)
-    v = tuple(Fraction(x) for x in v)
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in inv)
 
 
 def lattice_contains(basis: Mat, v) -> bool:

@@ -215,10 +215,6 @@ def order_from_basis(algebra: QuaternionAlgebra, rows) -> Order:
     return Order(lat, d)
 
 
-def reduced_discriminant(order: Order) -> int:
-    return order.reduced_disc
-
-
 def is_maximal(order: Order) -> bool:
     """Maximality test: reduced discriminant equals the algebra's."""
     return order.reduced_disc == order.algebra.reduced_discriminant
@@ -331,18 +327,6 @@ def ideal_inverse(a: TwoSidedIdeal) -> TwoSidedIdeal:
     if ideal_mul(a, inv).lattice != lam:
         raise InverseVerificationFailed("I * I^-1 is not the order")
     return inv
-
-
-def conj_ideal(a: TwoSidedIdeal) -> TwoSidedIdeal:
-    """Conjugate ideal (basis-wise conjugation); requires t = 1.
-
-    For a displaced ideal J*t the conjugate is conj(t)*J, which is no
-    longer two-sided over the same order; use ZLat4.conjugated for the
-    bare lattice in that case.
-    """
-    if a.t != a.order.algebra.one:
-        raise ValueError("conjugate of a displaced ideal leaves the order")
-    return TwoSidedIdeal.from_lattice(a.order, a.lattice.conjugated())
 
 
 def codifferent(order: Order) -> ZLat4:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,16 +11,24 @@ from amlat.classify import (
     construct,
     exists_arakelov_modular,
     order_for_prime,
+    pizer_algebra,
     plan_level,
     residue_case,
     search_beta,
     split_level,
 )
 from amlat.numth import is_prime, legendre
-from amlat.orders import is_maximal, normalizer_contains, preset_order
+from amlat.orders import (
+    is_maximal,
+    maximalize,
+    normalizer_contains,
+    order_from_basis,
+    preset_order,
+)
 from amlat.quaternion import QuaternionAlgebra
 
 F = Fraction
+STD = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_split_level():
@@ -223,9 +232,12 @@ def test_construct_rejects_even_support():
         construct(6)  # support {2, 3} has even size
 
 
-def test_construct_reports_grid_failure():
-    with pytest.raises(NoPlanFound, match="ramified set"):
-        construct(30)
+def test_construct_30_three_prime_support():
+    # support {2, 3, 5}: Pizer's algebra (-43, -30) and its closed-form order
+    lat, cert = construct(30)
+    assert cert.valid
+    assert lat.order.algebra.ramified_primes == (2, 3, 5)
+    assert lat.discriminant == 900
 
 
 def test_plan_level_rejects_tiny():
@@ -242,13 +254,75 @@ def test_square_free_lifting():
         assert lat.discriminant == (ell1 * ell1 * ell2) ** 2
 
 
-def test_construct_130_reports_missing_witness(monkeypatch):
-    # support {2,5,13} is realized by (-5,-13), but its maximal order has
-    # no normalizing element of reduced norm 130: honest failure, no claim
-    # of nonexistence
+def test_construct_130_is_certified():
+    lat, cert = construct(130)
+    assert cert.valid
+    assert (lat.order.algebra.a, lat.order.algebra.b) == (-67, -130)
+    assert lat.discriminant == 130**2
+
+
+def test_search_beta_none_for_minus5_minus13(monkeypatch):
+    # (-5,-13) also ramifies exactly at {2, 5, 13}, but the maximal order
+    # the climb reaches there has no normalizing element of reduced norm
+    # 130; level 130 needs another order (Pizer's, in (-67, -130))
     monkeypatch.setenv("AMLAT_SEARCH_BOUND", "130")
-    with pytest.raises(NoPlanFound, match="no element of reduced norm 130"):
-        construct(130)
+    alg = QuaternionAlgebra(-5, -13)
+    order = maximalize(order_from_basis(alg, STD))
+    assert order.reduced_disc == 130
+    assert search_beta(order, 130) is None
+
+
+def _recipe_supports():
+    primes = [p for p in range(2, 50) if is_prime(p)]
+    odd = primes[1:]
+    yield from ((p,) for p in primes)
+    yield from ((2, p, r) for p, r in combinations(odd, 2))
+    yield from combinations([p for p in odd if p < 30], 3)
+    for size in (5, 7, 9, 11):
+        for run in (primes, odd):
+            for k in range(0, len(run) - size + 1, 2):
+                yield tuple(run[k : k + size])
+
+
+def test_pizer_algebra_and_order_for_odd_supports(monkeypatch):
+    # for every support: the algebra ramifies exactly there, the standard
+    # order maximalizes to Pizer's closed form without a climb, and j
+    # normalizes that order with reduced norm prod(S)
+    def no_climb(order, p):
+        raise AssertionError(f"maximalize climbed at {p}")
+
+    monkeypatch.setattr(orders, "_enlarge_at", no_climb)
+    seen = 0
+    for support in _recipe_supports():
+        alg, q = pizer_algebra(support)
+        assert alg.ramified_primes == support
+        assert alg.a == -q and q % 4 == 3 and is_prime(q)
+        order = maximalize(order_from_basis(alg, STD))
+        assert order.lattice == orders._pizer_order(alg).lattice
+        assert normalizer_contains(order, alg.j)
+        assert alg.j.nrd() == -alg.b
+        seen += 1
+    assert seen > 200
+
+
+def test_pizer_algebra_q_is_least():
+    for support in ((2, 3, 5), (3, 5, 7), (2, 5, 13), (17,), (3, 5, 7, 11, 13)):
+        alg, q = pizer_algebra(support)
+        d = -alg.b
+        for r in range(3, q, 4):
+            if is_prime(r) and d % r:
+                assert QuaternionAlgebra(-r, -d).ramified_primes != support
+
+
+def test_every_level_to_200_constructs_or_is_refused_exactly():
+    # the north star: a valid certificate, or a refusal that is a proof
+    for ell in range(2, 201):
+        try:
+            _, cert = construct(ell)
+        except NoPlanFound as exc:
+            assert "square" in str(exc) or "odd in number" in str(exc), ell
+        else:
+            assert cert.valid, ell
 
 
 def test_construct_prime_powers():

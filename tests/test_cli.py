@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,40 @@ def test_construct_no_plan(capsys):
     code, _, err = run(capsys, "construct", "--ell", "4")
     assert code == 2
     assert "square" in err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_process(*args):
+    """Run a Python command line in a fresh process; fail after 60 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+def test_construct_15015_does_not_hang():
+    proc = run_process("-m", "amlat.cli", "construct", "--ell", "15015")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certificate"]["valid"] is True
+
+
+def test_classify_15015_reports_pizer_q():
+    proc = run_process("-m", "amlat.cli", "classify", "--ell", "15015")
+    assert proc.returncode == 0, proc.stderr
+    assert '"case": null' in proc.stdout
+    data = json.loads(proc.stdout)
+    assert (data["a"], data["b"], data["q"]) == (-67, -15015, 67)
+
+
+def test_plan_level_large_three_prime_level_returns():
+    # 300000000007 = 61 * 277 * 17754631
+    code = "from amlat.classify import plan_level; print(plan_level(300000000007).q)"
+    proc = run_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "139"
 
 
 def test_construct_json_roundtrip(tmp_path, capsys):

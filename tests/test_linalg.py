@@ -20,7 +20,6 @@ from amlat.linalg import (
     mat_mul,
     modp_nullspace,
     modp_rref,
-    solve,
     transpose,
 )
 
@@ -178,12 +177,6 @@ def test_inverse_roundtrip_exact():
 def test_inverse_singular():
     with pytest.raises(SingularMatrix):
         inverse(mat([[1, 2], [2, 4]]))
-
-
-def test_solve():
-    m = mat([[2, 1], [1, 1]])
-    x = solve(m, (3, 2))
-    assert tuple(x) == (F(1), F(1))
 
 
 def test_lattice_contains():

@@ -15,7 +15,6 @@ from amlat.orders import (
     OrderMismatch,
     TwoSidedIdeal,
     codifferent,
-    conj_ideal,
     different,
     ideal_inverse,
     ideal_mul,
@@ -252,14 +251,6 @@ def test_ideal_inverse_examples(hurwitz):
     assert ideal_mul(p2, inv).lattice == hurwitz.lattice
 
 
-def test_conj_ideal(hurwitz, case2):
-    for order in (hurwitz, case2):
-        lam = TwoSidedIdeal.unit(order)
-        assert conj_ideal(lam).lattice == order.lattice
-        p = prime_ideal_above(order, order.algebra.ramified_primes[0])
-        assert conj_ideal(p).lattice == p.lattice
-
-
 def test_conj_of_displaced_ideal_lattice(hurwitz):
     # conj(J t) equals conj(t)·J at the lattice level
     alg = hurwitz.algebra
@@ -268,8 +259,6 @@ def test_conj_of_displaced_ideal_lattice(hurwitz):
     displaced = TwoSidedIdeal.from_parts(hurwitz, p2.lattice, t)
     conj_lat = displaced.lattice.conjugated()
     assert conj_lat == p2.lattice.left_mul(t.conj())
-    with pytest.raises(ValueError):
-        conj_ideal(displaced)
 
 
 def test_two_sided_rejects_one_sided(hurwitz):
@@ -359,7 +348,7 @@ def test_conj_stability_of_two_sided(catalog):
         prime = prime_ideal_above(order, p)
         half = TwoSidedIdeal.scalar(order, F(1, 2))
         for ideal in (prime, ideal_mul(prime, half), ideal_pow(prime, 3)):
-            assert conj_ideal(ideal).lattice == ideal.lattice
+            assert ideal.lattice.conjugated() == ideal.lattice
 
 
 def test_left_right_orders_of_constructed_ideals(catalog):
