@@ -4,8 +4,9 @@ All numbers in the JSON output are exact: rationals are serialized as
 "p/q" strings (plain integer strings when the denominator is 1), and
 output key order is fixed, so results are byte-stable for fixed inputs.
 
-Exit codes: 0 success, 1 malformed input, 2 no construction exists or
-was found, 3 verification failed.
+Exit codes: 0 success, 1 malformed input or a number whose primality
+would have to be proved at or above numth.PRIMALITY_CAP, 2 no construction
+exists or was found, 3 verification failed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from .lattices import (
     minimum_and_kissing,
     verify_arakelov_modular,
 )
-from .numth import REAL_PLACE, hilbert_places, hilbert_symbol, is_prime
+from .numth import (
+    REAL_PLACE,
+    NumberTooLarge,
+    hilbert_places,
+    hilbert_symbol,
+    is_prime,
+)
 from .orders import (
     CATALOG_BASES,
     PRESET_ALIASES,
@@ -326,6 +333,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InputError as exc:
         print(f"error in {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except NumberTooLarge as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,5 +1,12 @@
 """Integer number theory: primality, factorization, quadratic symbols.
 
+Primality is deterministic Miller-Rabin to the 13 prime bases 2..41,
+which is a proof below PRIMALITY_CAP = psi_13 = 3317044064679887385961981
+(Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+Math. Comp. 86 (2017)).  Factoring splits cofactors with Pollard's rho in
+Brent's variant.  Neither uses floating point or randomness.  Where a
+proof would need a prime at or above the cap, NumberTooLarge is raised.
+
 The Hilbert symbol follows the convention that ``p = -1`` denotes the
 real place (as in most computer algebra systems).
 """
@@ -7,49 +14,156 @@ real place (as in most computer algebra systems).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 REAL_PLACE = -1
+
+# psi_13: the least odd composite that passes the strong test to every
+# prime base up to 41.
+PRIMALITY_CAP = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# every composite below 1000 has a divisor below 32
+_SMALL_PRIMES = tuple(
+    sorted(
+        set(range(2, 1000)).difference(*(range(d * d, 1000, d) for d in range(2, 32)))
+    )
+)
+# 1009 is the least prime above _SMALL_PRIMES, so an integer below its
+# square with no factor in _SMALL_PRIMES is prime.
+_TRIAL_LIMIT = 1009 * 1009
 
 
 class InvalidPrime(ValueError):
     """Argument was required to be an (odd) prime and is not."""
 
 
+class NumberTooLarge(ValueError):
+    """Primality of an integer at or above PRIMALITY_CAP cannot be proved."""
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < PRIMALITY_CAP.
+
+    Small primes are divided out first; the rest get the strong
+    Miller-Rabin test to the 13 prime bases 2..41.  At or above the cap a
+    base that shows n composite is still a proof, but a pass is not, so it
+    raises NumberTooLarge instead of returning a probable prime.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    return n < _TRIAL_LIMIT or _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong test of an odd n > 41 to every base in _MR_BASES."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= PRIMALITY_CAP:
+        raise NumberTooLarge(
+            f"{n} passes Miller-Rabin to the bases 2..41 but is not below the "
+            f"primality cap {PRIMALITY_CAP} (psi_13, Sorenson-Webster 2017), "
+            "so its primality cannot be proved"
+        )
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n that is not a perfect power.
+
+    Pollard's rho with Brent's cycle finding on x -> x² + c, gcds taken
+    over batches of products; c runs through 1, 2, 3, ... so the result is
+    deterministic.
+    """
+    batch = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _split(m: int, e: int, out: dict[int, int]) -> None:
+    """Add the factorization of m**e to out.
+
+    m > 1 is either a prime below _TRIAL_LIMIT or free of _SMALL_PRIMES,
+    so a perfect power m = r**p has r >= 1009.
+    """
+    for p in _SMALL_PRIMES:
+        if m < 1009**p:
+            break
+        r = _iroot(m, p)
+        if r**p == m:
+            _split(r, e * p, out)
+            return
+    if m < _TRIAL_LIMIT or _miller_rabin(m):
+        out[m] = out.get(m, 0) + e
+        return
+    d = _rho(m)
+    _split(d, e, out)
+    _split(m // d, e, out)
+
+
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+
+    Small primes are divided out, and each cofactor is split by Brent's
+    rho.  Raises NumberTooLarge if a cofactor at or above PRIMALITY_CAP
+    looks prime.
+    """
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3):
+    for p in _SMALL_PRIMES:
+        if n < p * p:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        _split(n, 1, out)
     return dict(sorted(out.items()))
 
 
@@ -68,15 +182,30 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by reciprocity (no factoring).
+
+    For prime n it is the Legendre symbol.
+    """
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    """Legendre symbol (a/p) for an odd prime p: the Jacobi symbol (a/p)."""
     if p == 2 or not is_prime(p):
         raise InvalidPrime(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _jacobi(a, p)
 
 
 def _val(n: int, p: int) -> tuple[int, int]:

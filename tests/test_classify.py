@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -312,6 +313,18 @@ def test_pizer_algebra_q_is_least():
         for r in range(3, q, 4):
             if is_prime(r) and d % r:
                 assert QuaternionAlgebra(-r, -d).ramified_primes != support
+
+
+def test_pizer_algebra_all_primes_below_50_is_fast():
+    # q runs through its residue class and is screened by the Jacobi
+    # symbol before is_prime; trial division in the q loop took 7-8 s here
+    support = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    start = time.perf_counter()
+    alg, q = pizer_algebra(support)
+    elapsed = time.perf_counter() - start
+    assert q == 1333963
+    assert alg.ramified_primes == support
+    assert elapsed < 5, elapsed
 
 
 def test_every_level_to_200_constructs_or_is_refused_exactly():

@@ -110,6 +110,38 @@ def test_plan_level_large_three_prime_level_returns():
     assert proc.stdout.strip() == "139"
 
 
+def test_classify_19_digit_prime_returns():
+    proc = run_process("-m", "amlat.cli", "classify", "--ell", "1000000000000000003")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["case"], data["a"]) == (2, -1)
+
+
+def test_construct_19_digit_prime_returns():
+    proc = run_process("-m", "amlat.cli", "construct", "--ell", "1000000000000000003")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certificate"]["valid"] is True
+
+
+def test_hilbert_19_digit_prime_returns():
+    proc = run_process(
+        "-m", "amlat.cli", "hilbert", "--a", "-1", "--b", "-1000000000000000003"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["product"] == 1
+
+
+def test_classify_above_primality_cap_exits_1():
+    # the least prime above psi_13 = 3317044064679887385961981
+    proc = run_process(
+        "-m", "amlat.cli", "classify", "--ell", "3317044064679887385962123"
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "primality cap 3317044064679887385961981" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_construct_json_roundtrip(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "construct", "--ell", "3", "--json", str(path))

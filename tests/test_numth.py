@@ -1,7 +1,14 @@
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amlat import numth
 from amlat.numth import (
+    PRIMALITY_CAP,
     InvalidPrime,
+    NumberTooLarge,
+    _jacobi,
     factorint,
     hilbert_symbol,
     hilbert_places,
@@ -11,6 +18,9 @@ from amlat.numth import (
     rational_sqrt,
 )
 from fractions import Fraction
+
+# below 10**24 < PRIMALITY_CAP, so is_prime never raises
+below_cap = st.integers(min_value=-10, max_value=10**24)
 
 
 def test_is_prime_small():
@@ -114,3 +124,91 @@ def test_hilbert_square_invariance():
         for b in (-5, -1, 6):
             for p in (-1, 2, 3, 5, 7, 11):
                 assert hilbert_symbol(a * 9, b * 4, p) == hilbert_symbol(a, b, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10, 10**6), below_cap))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 10**12).map(sympy.nextprime), st.integers(-10, 10**12))
+def test_is_prime_on_primes_and_their_products(p, n):
+    assert is_prime(p)
+    if abs(n) > 1:
+        assert not is_prime(p * abs(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**20)))
+def test_factorint_matches_sympy(n):
+    assert factorint(n) == dict(sorted(sympy.factorint(n).items()))
+    assert factorint(-n) == factorint(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(2, 10**7).map(sympy.nextprime), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+def test_factorint_of_prime_products(primes, power):
+    n = 1
+    want: dict[int, int] = {}
+    for p in primes:
+        n *= p**power
+        want[p] = want.get(p, 0) + power
+    assert factorint(n) == dict(sorted(want.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**15), 10**15), st.integers(3, 10**12).map(sympy.nextprime))
+def test_legendre_matches_sympy(a, p):
+    assert legendre(a, p) == sympy.legendre_symbol(a % p, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**15), 10**15), st.integers(0, 10**12))
+def test_jacobi_matches_sympy(a, k):
+    n = 2 * k + 1
+    assert _jacobi(a, n) == sympy.jacobi_symbol(a, n)
+
+
+def test_strong_pseudoprimes_and_carmichael_numbers_are_composite():
+    # psi_4, psi_11 and psi_12: strong pseudoprimes to all prime bases up
+    # to 7, 31 and 37 respectively (Sorenson and Webster 2017)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+        assert len(factorint(n)) > 1, n
+    for n in (561, 41041):  # Carmichael numbers
+        assert not is_prime(n), n
+    assert factorint(41041) == {7: 1, 11: 1, 13: 1, 41: 1}
+
+
+def test_factorint_perfect_powers(monkeypatch):
+    # perfect powers are found by integer roots, never by rho
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(numth, "_rho", no_rho)
+    assert factorint(47**20) == {47: 20}
+    p = 999999999989  # the largest 12-digit prime
+    assert is_prime(p)
+    assert factorint(3 * p * p) == {3: 1, p: 2}
+    assert factorint(p**5) == {p: 5}
+    q = 1000003
+    assert factorint(7 * q**6) == {7: 1, q: 6}
+
+
+def test_primality_cap_is_refused():
+    assert PRIMALITY_CAP == 3317044064679887385961981
+    with pytest.raises(NumberTooLarge, match="3317044064679887385961981"):
+        is_prime(PRIMALITY_CAP)
+    with pytest.raises(NumberTooLarge):
+        factorint(2 * 3317044064679887385962123)
+    with pytest.raises(NumberTooLarge):
+        is_prime(2**127 - 1)
+    # a base that shows n composite is a proof even above the cap
+    assert not is_prime(1000000000039 * 10000000000037)
+    assert is_prime(2**61 - 1)
+    assert factorint(2**100) == {2: 100}
