@@ -25,7 +25,6 @@ from .orders import (
     TwoSidedIdeal,
     ZLat4,
     codifferent,
-    different,
     ideal_inverse,
     ideal_mul,
     ideal_pow,
@@ -56,7 +55,6 @@ __all__ = [
     "algebra_for_prime",
     "codifferent",
     "construct",
-    "different",
     "exists_arakelov_modular",
     "gram_of_rows",
     "hilbert_symbol",

@@ -153,14 +153,6 @@ def _maximal_order(algebra: QuaternionAlgebra, case: int | None) -> Order:
     return maximalize(order_from_basis(algebra, _STANDARD_BASIS))
 
 
-def order_for_prime(ell: int) -> tuple[QuaternionAlgebra, int, int | None, Order]:
-    """Algebra plus a maximal order: the catalog basis in cases 1-3; in
-    case 4 Pizer's closed-form order Z<(1+i)/2, (j+ij)/2, (i+c·ij)/q, ij>
-    of (-q, -ell), which maximalize returns without any search."""
-    algebra, case, q = algebra_for_prime(ell)
-    return algebra, case, q, _maximal_order(algebra, case)
-
-
 def beta_for(algebra: QuaternionAlgebra, order: Order, case: int | None) -> QElem:
     """The normalizing element of the order with reduced norm the product
     of the ramified primes: i - j in case 1, otherwise j (case None is

@@ -4,8 +4,9 @@ Primality is deterministic Miller-Rabin to the 13 prime bases 2..41,
 which is a proof below PRIMALITY_CAP = psi_13 = 3317044064679887385961981
 (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
 Math. Comp. 86 (2017)).  Factoring splits cofactors with Pollard's rho in
-Brent's variant.  Neither uses floating point or randomness.  Where a
-proof would need a prime at or above the cap, NumberTooLarge is raised.
+Brent's variant, within a fixed budget of steps per cofactor.  Neither
+uses floating point or randomness.  Where a proof would need a prime at
+or above the cap, or rho exhausts its budget, NumberTooLarge is raised.
 
 The Hilbert symbol follows the convention that ``p = -1`` denotes the
 real place (as in most computer algebra systems).
@@ -32,6 +33,11 @@ _SMALL_PRIMES = tuple(
 # 1009 is the least prime above _SMALL_PRIMES, so an integer below its
 # square with no factor in _SMALL_PRIMES is prime.
 _TRIAL_LIMIT = 1009 * 1009
+# Every composite below PRIMALITY_CAP has a prime factor p < 1.83e12, and
+# rho meets a cycle mod p after about sqrt(p) < 1.4e6 steps.  The budget is
+# about 7 times that: it admits Brent's rounds up to r = 2**21 (8.4e6
+# steps).  22 products of two primes in [0.9e12, 3.2e12] took at most 3.7e6.
+_RHO_STEPS = 10**7
 
 
 class InvalidPrime(ValueError):
@@ -39,7 +45,7 @@ class InvalidPrime(ValueError):
 
 
 class NumberTooLarge(ValueError):
-    """Primality of an integer at or above PRIMALITY_CAP cannot be proved."""
+    """Primality at or above PRIMALITY_CAP, or a factor beyond rho's budget."""
 
 
 def is_prime(n: int) -> bool:
@@ -96,12 +102,21 @@ def _rho(n: int) -> int:
 
     Pollard's rho with Brent's cycle finding on x -> x² + c, gcds taken
     over batches of products; c runs through 1, 2, 3, ... so the result is
-    deterministic.
+    deterministic.  Each round of r costs at most 2r steps of the map; the
+    steps of all c together are counted once per round, and a round that
+    would take them past _RHO_STEPS raises NumberTooLarge instead.
     """
     batch = 128
+    steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise NumberTooLarge(
+                    f"{n} is composite, but Brent's rho found no factor of it "
+                    f"within its budget of {_RHO_STEPS} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -150,7 +165,8 @@ def factorint(n: int) -> dict[int, int]:
 
     Small primes are divided out, and each cofactor is split by Brent's
     rho.  Raises NumberTooLarge if a cofactor at or above PRIMALITY_CAP
-    looks prime.
+    looks prime, or if rho finds no factor of a cofactor within
+    _RHO_STEPS steps.
     """
     if n == 0:
         raise ValueError("cannot factor zero")

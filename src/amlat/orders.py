@@ -272,11 +272,6 @@ class TwoSidedIdeal:
         return cls(order, order.lattice, order.algebra.one)
 
     @classmethod
-    def principal(cls, order: Order, g: QElem) -> "TwoSidedIdeal":
-        """The ideal g*Lambda for g normalizing the order."""
-        return cls.from_lattice(order, order.lattice.left_mul(g))
-
-    @classmethod
     def scalar(cls, order: Order, c) -> "TwoSidedIdeal":
         return cls(order, order.lattice.scaled(c), order.algebra.one)
 
@@ -333,12 +328,6 @@ def codifferent(order: Order) -> ZLat4:
     """Dual lattice of the order under the pairing (x, y) -> trd(x*y)."""
     rows = mat_mul(inverse(order.trace_matrix), order.lattice.basis)
     return ZLat4.from_rows(order.algebra, rows)
-
-
-def different(order: Order) -> TwoSidedIdeal:
-    """The inverse ideal of the codifferent."""
-    cod = TwoSidedIdeal.from_lattice(order, codifferent(order))
-    return ideal_inverse(cod)
 
 
 def normalizer_contains(order: Order, g: QElem) -> bool:

@@ -198,17 +198,17 @@ def _ideal_grid(order):
         TwoSidedIdeal.unit(order),
         prime,
         TwoSidedIdeal.scalar(order, p),
-        TwoSidedIdeal.principal(order, beta),
+        TwoSidedIdeal.from_lattice(order, order.lattice.left_mul(beta)),
     ]
 
 
-def test_criterion_11_dual_equivalence_grid():
+def test_criterion_11_dual_equivalence_grid(ideal_formula_dual):
     checked = 0
     for _, order in _catalog():
         for ideal in _ideal_grid(order):
             for alpha in (F(1), F(2), F(3, 2)):
                 lat = IdealLattice(ideal, alpha)
-                lat.dual_lattice()  # raises DualMismatch on disagreement
+                assert lat.dual_lattice() == ideal_formula_dual(lat)
                 checked += 1
     assert checked == 48
     print(f"[PASS] criterion 11: Gram-inverse dual equals ideal-formula dual on "

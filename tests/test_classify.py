@@ -11,7 +11,6 @@ from amlat.classify import (
     beta_for,
     construct,
     exists_arakelov_modular,
-    order_for_prime,
     pizer_algebra,
     plan_level,
     residue_case,
@@ -82,8 +81,9 @@ def test_q_choice_properties():
 
 def test_beta_for_examples():
     for ell, want in ((2, "i-j"), (3, "j"), (5, "j")):
-        alg, case, _, order = order_for_prime(ell)
-        beta = beta_for(alg, order, case)
+        plan = plan_level(ell)
+        alg, order = plan.algebra, plan.order
+        beta = beta_for(alg, order, plan.case)
         if want == "i-j":
             assert beta == alg.i - alg.j
         else:
@@ -93,8 +93,8 @@ def test_beta_for_examples():
         assert normalizer_contains(order, beta)
 
 
-def test_order_for_prime_case4_is_maximal():
-    _, _, _, order = order_for_prime(17)
+def test_plan_level_case4_order_is_maximal():
+    order = plan_level(17).order
     assert is_maximal(order)
     assert order.reduced_disc == 17
 

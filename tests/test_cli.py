@@ -142,6 +142,16 @@ def test_classify_above_primality_cap_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+def test_classify_beyond_rho_budget_exits_1():
+    # 10**103 + 7 = 131 · c, c a 101-digit composite that rho cannot split
+    # within its step budget (about 10 s at this size)
+    proc = run_process("-m", "amlat.cli", "classify", "--ell", str(10**103 + 7))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "budget of 10000000 steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_construct_json_roundtrip(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "construct", "--ell", "3", "--json", str(path))

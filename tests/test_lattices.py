@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amlat import orders
+from amlat.classify import construct
 from amlat.lattices import (
     IdealLattice,
     NonPositiveAlpha,
@@ -18,6 +22,7 @@ from amlat.lattices import (
 from amlat.linalg import det, identity, inverse, mat, mat_mul, transpose, vec_mat
 from amlat.orders import (
     TwoSidedIdeal,
+    ZLat4,
     ideal_pow,
     preset_order,
     prime_ideal_above,
@@ -181,6 +186,85 @@ def test_certificate_on_displaced_ideal(hurwitz):
     cert = verify_arakelov_modular(IdealLattice(displaced, F(1)), beta, 8)
     assert cert.valid
     assert cert.beta_prime != beta
+
+
+def _formula_identities(lattice, dual, beta, ell):
+    """(dual_identity, similitude_identity) read off an explicit dual: does
+    x -> x·beta' map its basis onto I, scaling the form by ell?"""
+    tbar = lattice.ideal.t.conj()
+    beta_prime = tbar * beta * tbar.inverse()
+    if beta_prime.is_zero():
+        return False, False
+    image_rows = [(d * beta_prime).coords() for d in dual.elements()]
+    image = ZLat4.from_rows(dual.algebra, image_rows)
+    gram_dual = gram_of_rows(dual, dual.basis, lattice.alpha)
+    gram_image = gram_of_rows(dual, image_rows, lattice.alpha)
+    scaled = tuple(tuple(ell * x for x in row) for row in gram_dual)
+    return image == lattice.ideal.lattice, gram_image == scaled
+
+
+def _mutants(lattice, beta, ell):
+    """The certified triple and its perturbations: beta+w and beta·(1+w)
+    for each basis element w of the order, alpha scaled, ell replaced,
+    and the ideal 2·Lambda, conj(beta) and i·beta in turn."""
+    order = lattice.order
+    alg = order.algebra
+    ideal = lattice.ideal
+    yield lattice, beta, ell
+    for w in order.lattice.elements():
+        yield lattice, beta + w, ell
+        yield lattice, beta * (alg.one + w), ell
+    for s in (F(1, 2), 2, 3):
+        yield IdealLattice(ideal, lattice.alpha * s), beta, ell
+    for other in (ell + 1, 2 * ell, ell * ell):
+        yield lattice, beta, other
+    yield IdealLattice(TwoSidedIdeal.scalar(order, 2), lattice.alpha), beta, ell
+    yield lattice, beta.conj(), ell
+    yield lattice, alg.i * beta, ell
+
+
+def test_certificate_agrees_with_ideal_formula_dual_on_mutants(
+    hurwitz, ideal_formula_dual
+):
+    # the matrix certificate never builds a dual; the oracle builds it by
+    # ideal arithmetic and checks x -> x·beta' on its basis directly
+    alg = hurwitz.algebra
+    displaced = TwoSidedIdeal.from_parts(hurwitz, hurwitz.lattice, alg.one + alg.i)
+    bases = [(IdealLattice(displaced, F(1)), (alg.i - alg.j) ** 3, 8)]
+    for ell in (2, 27, 30, 72):
+        lattice, cert = construct(ell)
+        bases.append((lattice, cert.beta, ell))
+    dual_of = lru_cache(maxsize=None)(ideal_formula_dual)
+    verdicts = []
+    for base in bases:
+        for lattice, beta, ell in _mutants(*base):
+            cert = verify_arakelov_modular(lattice, beta, ell)
+            want = _formula_identities(lattice, dual_of(lattice), beta, ell)
+            assert (cert.dual_identity, cert.similitude_identity) == want, (
+                ell, beta, lattice.alpha,
+            )
+            verdicts.append(cert.valid)
+    assert len(verdicts) == 5 * 18
+    assert 5 <= verdicts.count(True) < verdicts.count(False)
+
+
+def test_construct_certifies_without_ideal_arithmetic(monkeypatch):
+    # prime levels need no ideal at all, so neither may the certificate;
+    # every binding of the two functions in the package is replaced
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ideal arithmetic in the certificate")
+
+    names = ("ideal_inverse", "codifferent")
+    originals = {name: getattr(orders, name) for name in names}
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "amlat"]:
+        for name, original in originals.items():
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(TwoSidedIdeal, "from_lattice", forbidden)
+    for ell in (2, 3, 5, 17, 2689):
+        lattice, cert = construct(ell)
+        assert cert.valid, ell
+        assert lattice.discriminant == ell * ell
 
 
 def test_modular_det_is_ell_squared(hurwitz, case2):

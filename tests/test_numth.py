@@ -200,6 +200,19 @@ def test_factorint_perfect_powers(monkeypatch):
     assert factorint(7 * q**6) == {7: 1, q: 6}
 
 
+def test_product_of_two_13_digit_primes_factors():
+    p, q = 1500000000047, 1800000000047
+    assert factorint(p * q) == {p: 1, q: 1} == sympy.factorint(p * q)
+
+
+def test_rho_budget_is_refused_by_name(monkeypatch):
+    # rho needs about 4e5 steps here; a budget of 1000 refuses instead
+    monkeypatch.setattr(numth, "_RHO_STEPS", 1000)
+    with pytest.raises(NumberTooLarge, match="budget of 1000 steps"):
+        factorint(1500000000047 * 1800000000047)
+    assert factorint(2**61 - 1) == {2**61 - 1: 1}  # primes never reach rho
+
+
 def test_primality_cap_is_refused():
     assert PRIMALITY_CAP == 3317044064679887385961981
     with pytest.raises(NumberTooLarge, match="3317044064679887385961981"):

@@ -15,7 +15,6 @@ from amlat.orders import (
     OrderMismatch,
     TwoSidedIdeal,
     codifferent,
-    different,
     ideal_inverse,
     ideal_mul,
     ideal_pow,
@@ -231,8 +230,10 @@ def test_prime_square_is_p_lambda(hurwitz):
 def test_principal_times_inverse(hurwitz):
     alg = hurwitz.algebra
     beta = alg.i - alg.j
-    a = TwoSidedIdeal.principal(hurwitz, beta)
-    b = TwoSidedIdeal.principal(hurwitz, beta.inverse())
+    a = TwoSidedIdeal.from_lattice(hurwitz, hurwitz.lattice.left_mul(beta))
+    b = TwoSidedIdeal.from_lattice(
+        hurwitz, hurwitz.lattice.left_mul(beta.inverse())
+    )
     assert ideal_mul(a, b).lattice == hurwitz.lattice
 
 
@@ -273,7 +274,8 @@ def test_two_sided_rejects_one_sided(hurwitz):
 
 def test_codifferent_different(catalog):
     for order in catalog:
-        d = different(order)
+        # the different is the inverse of the codifferent
+        d = ideal_inverse(TwoSidedIdeal.from_lattice(order, codifferent(order)))
         assert d.reduced_norm == order.reduced_disc
         assert ideal_inverse(d).lattice == codifferent(order)
 
@@ -321,7 +323,8 @@ def test_prime_squares_all_catalog(catalog):
 def test_nrd_ideal_examples(hurwitz):
     alg = hurwitz.algebra
     assert TwoSidedIdeal.unit(hurwitz).reduced_norm == 1
-    assert TwoSidedIdeal.principal(hurwitz, alg.i - alg.j).reduced_norm == 2
+    beta_lam = hurwitz.lattice.left_mul(alg.i - alg.j)
+    assert TwoSidedIdeal.from_lattice(hurwitz, beta_lam).reduced_norm == 2
 
 
 def test_nrd_multiplicative(catalog):
