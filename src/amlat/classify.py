@@ -22,15 +22,14 @@ from .lattices import (
 )
 from .numth import _jacobi, factorint, is_prime
 from .orders import (
+    NotTwoSided,
     Order,
     TwoSidedIdeal,
-    ideal_mul,
-    ideal_pow,
+    ZLat4,
     maximalize,
     normalizer_contains,
     order_from_basis,
     preset_order,
-    prime_ideal_above,
 )
 from .quaternion import QElem, QuaternionAlgebra
 
@@ -197,7 +196,15 @@ def search_beta(order: Order, m: int) -> QElem | None:
 
 @dataclass(frozen=True)
 class ConstructionPlan:
-    """Everything needed to realize a level: algebra, order, witnesses."""
+    """Everything needed to realize a level: algebra, order, witnesses.
+
+    beta is the normalizer from beta_for, with nrd beta = prod S; beta2 is
+    beta·prod (-p)^e_p, with nrd beta2 = ell2; ideal_exponents holds the
+    pairs (p, e_p), e_p = (r_p - 1)/2, for p in S.  beta and the exponents
+    give the ideal in closed form, J = prod p^floor(e_p/2) ·
+    (beta·Lambda + d_T·Lambda) with d_T the product of the p with e_p odd
+    (ideal_for; derived in ROADMAP.md, item 2).
+    """
 
     ell: int
     ell1: int
@@ -206,6 +213,7 @@ class ConstructionPlan:
     q: int | None
     algebra: QuaternionAlgebra
     order: Order
+    beta: QElem
     beta2: QElem
     ideal_exponents: tuple[tuple[int, int], ...]
 
@@ -241,7 +249,8 @@ def plan_level(ell: int) -> ConstructionPlan:
         case = None
     order = _maximal_order(algebra, case)
     ideal_exps = tuple((p, (exps[p] - 1) // 2) for p in support)
-    beta2 = prod((-p) ** e for p, e in ideal_exps) * beta_for(algebra, order, case)
+    beta = beta_for(algebra, order, case)
+    beta2 = prod((-p) ** e for p, e in ideal_exps) * beta
     return ConstructionPlan(
         ell=ell,
         ell1=split.ell1,
@@ -250,19 +259,59 @@ def plan_level(ell: int) -> ConstructionPlan:
         q=q,
         algebra=algebra,
         order=order,
+        beta=beta,
         beta2=beta2,
         ideal_exponents=ideal_exps,
     )
 
 
+def ideal_for(
+    order: Order, beta: QElem, ideal_exponents: tuple[tuple[int, int], ...]
+) -> TwoSidedIdeal:
+    """J = prod P_p^e_p in closed form, with no ideal arithmetic.
+
+    beta normalizes the maximal order Lambda with nrd beta = prod S, so
+    the two-sided prime over p in S is P_p = beta·Lambda + p·Lambda, and
+    P_p^2 = p·Lambda.  Hence J = s·(beta·Lambda + d_T·Lambda), with
+    s = prod p^floor(e_p/2) and d_T the product of the p with e_p odd
+    (ROADMAP.md, item 2).  When d_T = 1, J is Lambda scaled by s.
+    Otherwise the 32 products Lambda·J and J·Lambda must lie in J; Lambda
+    is maximal, so this proves that the left and right orders of J are
+    both Lambda, and NotTwoSided is raised if they are not.  Any beta in
+    Lambda passes, since at a ramified p every right ideal of Lambda_p is
+    two-sided; a wrong one of those is caught by the certificate.
+    """
+    s = prod(p ** (e // 2) for p, e in ideal_exponents)
+    d_t = prod(p for p, e in ideal_exponents if e % 2)
+    if d_t == 1:
+        if s == 1:
+            return TwoSidedIdeal.unit(order)
+        return TwoSidedIdeal.scalar(order, s)
+    elems = order.lattice.elements()
+    rows = [(s * beta * w).coords() for w in elems]
+    rows += [(s * d_t * w).coords() for w in elems]
+    lat = ZLat4.from_rows(order.algebra, rows)
+    j_elems = lat.elements()
+    for u in elems:
+        for v in j_elems:
+            if not (lat.contains(u * v) and lat.contains(v * u)):
+                raise NotTwoSided(f"{beta!r} does not give a two-sided ideal")
+    return TwoSidedIdeal(order, lat, order.algebra.one)
+
+
 def construct(ell: int) -> tuple[IdealLattice, ModularityCertificate]:
     """Build the level-ell lattice (J·t, q_alpha) with t = 1, alpha = ell1,
-    J the product of ramified primes to the (r_p - 1)/2, and certify it."""
+    J the product of the ramified primes P_p to the e_p = (r_p - 1)/2,
+    and certify it.
+
+    J is built in closed form from the plan's beta (ideal_for):
+    J = prod p^floor(e_p/2) · (beta·Lambda + d_T·Lambda), d_T the product
+    of the p with e_p odd, by the derivation in ROADMAP.md, item 2.  No
+    prime ideal, ideal power or ideal product is computed; the
+    certificate proves modularity.
+    """
     plan = plan_level(ell)
-    ideal = TwoSidedIdeal.unit(plan.order)
-    for p, e in plan.ideal_exponents:
-        if e:
-            ideal = ideal_mul(ideal, ideal_pow(prime_ideal_above(plan.order, p), e))
+    ideal = ideal_for(plan.order, plan.beta, plan.ideal_exponents)
     lattice = IdealLattice(ideal, Fraction(plan.ell1))
     beta = plan.ell1 * plan.beta2
     cert = verify_arakelov_modular(lattice, beta, ell)

@@ -100,7 +100,7 @@ def _parse_matrix_file(path: str, field: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (line.strip() for line in fh) if ln]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"{field}: cannot read {path}: {exc}") from exc
     if len(lines) != 4:
         raise _InputError(f"{field}: expected 4 nonempty lines in {path}")
@@ -197,8 +197,11 @@ def cmd_construct(args) -> int:
     text = json.dumps(record, sort_keys=True, indent=2)
     print(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _InputError(f"--json: cannot write {args.json}: {exc}") from exc
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -11,19 +11,26 @@ from amlat.classify import (
     beta_for,
     construct,
     exists_arakelov_modular,
+    ideal_for,
     pizer_algebra,
     plan_level,
     residue_case,
     search_beta,
     split_level,
 )
-from amlat.numth import is_prime, legendre
+from amlat.lattices import IdealLattice, verify_arakelov_modular
+from amlat.numth import factorint, is_prime, legendre
 from amlat.orders import (
+    NotTwoSided,
+    TwoSidedIdeal,
+    ideal_mul,
+    ideal_pow,
     is_maximal,
     maximalize,
     normalizer_contains,
     order_from_basis,
     preset_order,
+    prime_ideal_above,
 )
 from amlat.quaternion import QuaternionAlgebra
 
@@ -356,3 +363,62 @@ def test_construct_mixed_levels():
         assert lat.discriminant == ell * ell
         assert lat.is_even()
         assert lat.minimum_and_kissing()[0] == want_min
+
+
+def _prime_ideal_product(plan):
+    """J = prod P_p^e_p by ideal arithmetic: the radical lift of each
+    ramified prime, its powers and their products.  An oracle for the
+    closed form of ideal_for, which uses none of this."""
+    ideal = TwoSidedIdeal.unit(plan.order)
+    for p, e in plan.ideal_exponents:
+        if e:
+            ideal = ideal_mul(ideal, ideal_pow(prime_ideal_above(plan.order, p), e))
+    return ideal
+
+
+def test_ideal_for_matches_prime_ideal_product():
+    # every constructible level to 600 with some e_p > 0, and three levels
+    # that mix exponents: 2^5·3^3·5, 3^3·5·7 and 3^3·5·7·11·13
+    levels = []
+    for ell in [*range(2, 601), 4320, 945, 135135]:
+        try:
+            plan = plan_level(ell)
+        except NoPlanFound:
+            continue
+        if any(e for _, e in plan.ideal_exponents):
+            levels.append(ell)
+            ideal = ideal_for(plan.order, plan.beta, plan.ideal_exponents)
+            assert ideal.lattice == _prime_ideal_product(plan).lattice, ell
+            assert ideal.t == plan.algebra.one
+    assert len(levels) == 32
+
+
+def _unramified_mutant(beta):
+    """(beta + k)/q with q exactly dividing nrd(beta + k) = nrd beta + k^2
+    and not nrd beta.  q is unramified, and at q the lattice
+    (beta + k)/q·Lambda + Lambda is the right ideal of a line in
+    Lambda_q = M_2(Z_q), which is never two-sided."""
+    d = beta.nrd()
+    for k in count(1):
+        for q, r in factorint(int(d + k * k)).items():
+            if r == 1 and d % q:
+                return (beta + k) / q
+
+
+def test_ideal_for_guard_trips_on_non_normalizing_element():
+    for ell in (8, 27, 72, 120, 945, 4320):
+        plan = plan_level(ell)
+        order, exps = plan.order, plan.ideal_exponents
+        assert any(e % 2 for _, e in exps), ell  # the guard runs
+        mutant = _unramified_mutant(plan.beta)
+        assert not normalizer_contains(order, mutant)
+        with pytest.raises(NotTwoSided):
+            ideal_for(order, mutant, exps)
+        # beta + 1 lies in Lambda, and every right ideal of Lambda_p is
+        # two-sided at a ramified p, so it passes the guard; the ideal is
+        # wrong, and the certificate refuses it
+        wrong = ideal_for(order, plan.beta + 1, exps)
+        assert wrong.lattice != ideal_for(order, plan.beta, exps).lattice
+        lattice = IdealLattice(wrong, F(plan.ell1))
+        cert = verify_arakelov_modular(lattice, plan.ell1 * plan.beta2, ell)
+        assert not cert.valid, ell

@@ -152,6 +152,44 @@ def test_classify_beyond_rho_budget_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "matrix.txt"
+    path.write_bytes(b"\xff2 0 0 1\n0 2 0 1\n0 0 2 1\n1 1 1 2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--gram", ["min"]),
+        ("--order", ["verify", "--algebra", "-1,-1", "--beta", "0,1,-1,0", "--ell", "2"]),
+        (
+            "--ideal",
+            ["verify", "--algebra", "-1,-1", "--order", "hurwitz",
+             "--beta", "0,1,-1,0", "--ell", "2"],
+        ),
+    ],
+)
+def test_non_utf8_matrix_file_exits_1(tmp_path, flag, argv):
+    proc = run_process("-m", "amlat.cli", *argv, flag, _non_utf8_file(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error in {flag}: cannot read ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_construct_json_into_missing_directory_exits_1(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_process("-m", "amlat.cli", "construct", "--ell", "27", "--json", str(target))
+    assert proc.returncode == 1
+    assert f"error in --json: cannot write {target}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    plain = run_process("-m", "amlat.cli", "construct", "--ell", "27")
+    assert plain.returncode == 0
+    assert proc.stdout == plain.stdout
+    assert not target.parent.exists()
+
+
 def test_construct_json_roundtrip(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "construct", "--ell", "3", "--json", str(path))

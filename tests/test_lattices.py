@@ -249,19 +249,29 @@ def test_certificate_agrees_with_ideal_formula_dual_on_mutants(
 
 
 def test_construct_certifies_without_ideal_arithmetic(monkeypatch):
-    # prime levels need no ideal at all, so neither may the certificate;
-    # every binding of the two functions in the package is replaced
+    # the ideal comes in closed form and the certificate builds no dual,
+    # so prime levels and prime powers alike need no ideal arithmetic;
+    # every binding of these functions in the package is replaced
     def forbidden(*args, **kwargs):
-        raise AssertionError("ideal arithmetic in the certificate")
+        raise AssertionError("ideal arithmetic in construct")
 
-    names = ("ideal_inverse", "codifferent")
+    names = (
+        "ideal_inverse",
+        "codifferent",
+        "prime_ideal_above",
+        "ideal_mul",
+        "ideal_pow",
+        "radical_mod_p",
+        "left_order",
+        "right_order",
+    )
     originals = {name: getattr(orders, name) for name in names}
     for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "amlat"]:
         for name, original in originals.items():
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, forbidden)
     monkeypatch.setattr(TwoSidedIdeal, "from_lattice", forbidden)
-    for ell in (2, 3, 5, 17, 2689):
+    for ell in (2, 3, 5, 17, 2689, 8, 27, 72, 3125, 120, 945):
         lattice, cert = construct(ell)
         assert cert.valid, ell
         assert lattice.discriminant == ell * ell
