@@ -330,6 +330,9 @@ def exists_arakelov_modular(
 
     Checks the exponent conditions against the algebra's ramification and
     then searches for a normalizing element of the right reduced norm.
+    A False is exact.  When the norm target exceeds AMLAT_SEARCH_BOUND,
+    search_beta's NoPlanFound propagates: not found within the bound is
+    not an answer.
     """
     if ell < 1:
         raise ValueError("level must be positive")
@@ -352,10 +355,7 @@ def exists_arakelov_modular(
         return False, (
             f"unramified prime {bad} must divide the level to an even power"
         )
-    try:
-        beta2 = search_beta(order, ell2)
-    except NoPlanFound as exc:
-        return False, str(exc)
+    beta2 = search_beta(order, ell2)
     if beta2 is None:
         return False, f"no normalizing element of reduced norm {ell2}"
     return True, f"constructible with alpha = {r} and beta2 = {beta2!r}"

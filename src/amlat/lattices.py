@@ -9,16 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt, lcm
 
 from .linalg import (
     Mat,
     det,
-    gram_schmidt_row,
     inverse,
-    lll_gram,
-    mat,
+    lll_integral,
     mat_mul,
     transpose,
 )
@@ -196,38 +194,20 @@ def verify_arakelov_modular(
 # --- exact shortest-vector enumeration ----------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _reduced(gram: Mat) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
-    """lll_gram(gram), which also rejects a matrix that is not positive definite.
+def _enumerate(lam, d, bound: int):
+    """Fincke-Pohst: yield (y, den·y·G·yᵀ) for every nonzero integer y with
+    den·y·G·yᵀ <= bound, from the fraction-free Gram-Schmidt data d, lam of
+    the integer matrix den·G (1-based, as :func:`lll_integral` returns it).
 
-    The last result is cached: minimum_and_kissing reads its starting
-    bound from the reduced matrix and then enumerates through
-    short_vectors, which thus reuses the reduction instead of repeating it.
+    All arithmetic is on integers: den·y·G·yᵀ =
+    sum_k (d_k·y_k + N_k)^2 / (d_{k-1}·d_k) with
+    N_k = sum_{j>k} lam[j][k]·y_j, and scaling by the lcm of the
+    denominators makes every partial sum an integer.
     """
-    return lll_gram(gram)
-
-
-def _enumerate(gram: Mat, bound: Fraction):
-    """Fincke-Pohst: yield (y, y·G·y^T) for every nonzero integer y with
-    y·G·y^T <= bound, G positive definite.
-
-    All arithmetic is on integers.  With G scaled to an integer matrix and
-    d_k, lam[j][k] its fraction-free Gram-Schmidt data (1-based),
-    y·G·y^T = sum_k (d_k·y_k + N_k)^2 / (d_{k-1}·d_k) with
-    N_k = sum_{j>k} lam[j][k]·y_j; scaling by the lcm of the denominators
-    makes every partial sum an integer.
-    """
-    n = len(gram)
-    den = lcm(*(x.denominator for row in gram for x in row))
-    g = [[0] * (n + 1)] + [[0] + [int(x * den) for x in row] for row in gram]
-    lam = [[0] * (n + 1) for _ in range(n + 1)]
-    d = [1] + [0] * n
-    for k in range(1, n + 1):
-        gram_schmidt_row(g, lam, d, k)
+    n = len(d) - 1
     scale = lcm(*(d[k - 1] * d[k] for k in range(1, n + 1)))
     weight = [0] + [scale // (d[k - 1] * d[k]) for k in range(1, n + 1)]
-    total = bound * den * scale
-    total = total.numerator // total.denominator
+    total = bound * scale
     coords = [0] * (n + 1)
 
     def level(k: int, budget: int):
@@ -240,7 +220,7 @@ def _enumerate(gram: Mat, bound: Fraction):
             if k > 1:
                 yield from level(k - 1, rest)
             elif any(coords):
-                yield tuple(coords[1:]), Fraction((total - rest) // scale, den)
+                yield coords[1:], (total - rest) // scale
         coords[k] = 0
 
     yield from level(n, total)
@@ -249,36 +229,38 @@ def _enumerate(gram: Mat, bound: Fraction):
 def short_vectors(gram, bound):
     """Yield (coords, value) for all nonzero x with x·G·x^T <= bound.
 
-    The enumeration runs on the LLL-reduced Gram matrix G_red = U·G·U^T
-    (see :func:`lll_gram`), and each vector y found there is returned as
-    x = y·U, so the coordinates are in the basis of the input.  Both signs
+    The enumeration runs on integers, on den·G_red with G_red = U·G·U^T
+    the LLL-reduced Gram matrix (see :func:`lll_integral`), and each
+    vector y found there is returned as x = y·U, so the coordinates are in
+    the basis of the input and the value is a ``Fraction``.  Both signs
     of each vector are produced.  The order is deterministic but not
     lexicographic in x.
     """
-    gram = mat(gram)
+    den, _, u, lam, d = lll_integral(gram)
     bound = Fraction(bound)
-    g_red, u = _reduced(gram)
     if bound < 0:
         return
-    cols = tuple(zip(*u))
-    for y, val in _enumerate(g_red, bound):
-        yield tuple(sum(a * b for a, b in zip(y, col)) for col in cols), val
+    cols = tuple(zip(*(row[1:] for row in u[1:])))
+    for y, val in _enumerate(lam, d, bound.numerator * den // bound.denominator):
+        x = tuple(sum(a * b for a, b in zip(y, col)) for col in cols)
+        yield x, Fraction(val, den)
 
 
 def minimum_and_kissing(gram) -> tuple[Fraction, int]:
     """Exact minimum of the quadratic form over nonzero integer vectors,
     together with the number of vectors attaining it (counting both signs).
 
-    The search starts at the least diagonal entry of the LLL-reduced Gram
-    matrix, which is already the minimum or close to it."""
-    gram = mat(gram)
-    g_red = _reduced(gram)[0]
-    best = min(g_red[k][k] for k in range(len(g_red)))
+    Runs on integers from input to answer: the search starts at the least
+    diagonal entry of the LLL-reduced matrix den·G_red, which is already
+    the minimum or close to it, and counts the vectors in reduced
+    coordinates without mapping them back to the input basis."""
+    den, g, _, lam, d = lll_integral(gram)
+    best = min(g[k][k] for k in range(1, len(g)))
     count = 0
-    for _, val in short_vectors(gram, best):
+    for _, val in _enumerate(lam, d, best):
         if val < best:
             best = val
             count = 1
         elif val == best:
             count += 1
-    return best, count
+    return Fraction(best, den), count

@@ -224,42 +224,33 @@ def lattice_intersect(bases) -> Mat:
 # --- LLL reduction of a positive definite Gram matrix -----------------------
 
 
-def gram_schmidt_row(g, lam, d, k: int) -> None:
-    """Row k of the fraction-free Gram-Schmidt data of an integer Gram matrix.
+def lll_integral(gram) -> tuple[int, list, list, list, list]:
+    """Cohen's fraction-free integral LLL with δ = 99/100, on plain ints.
 
-    All arrays are 1-based (row and column 0 unused) and ``d[0] = 1``.
-    Given rows 1..k-1, sets ``lam[k][j] = d_j·μ_kj`` for j < k and ``d[k]``,
-    the Gram determinant of the first k vectors; every division is exact.
+    The rational Gram matrix G is scaled by den, the lcm of its entries'
+    denominators, and each entry's numerator and denominator is read once
+    (entries may be anything ``Fraction`` accepts).  Returns
+    ``(den, g, h, lam, d)``, all 1-based (row and column 0 unused,
+    ``d[0] = 1``): ``g = den·U·G·Uᵀ`` and ``h = U`` with ``U`` unimodular,
+    and the fraction-free Gram-Schmidt data of the reduced basis,
+    ``d[i]`` the Gram determinant of its first i vectors and
+    ``lam[i][j] = d[j]·μ_ij`` for j < i (*A Course in Computational
+    Algebraic Number Theory*, Alg. 2.6.7).  Raises ValueError when G is
+    not square, symmetric and positive definite.
     """
-    for j in range(1, k + 1):
-        u = g[k][j]
-        for i in range(1, j):
-            u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
-        if j < k:
-            lam[k][j] = u
-    d[k] = u
-
-
-def lll_gram(gram) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
-    """LLL-reduce a positive definite Gram matrix with δ = 99/100.
-
-    Returns ``(G_red, U)`` with ``U`` unimodular over the integers and
-    ``G_red = U·G·Uᵀ``: row i of ``U`` gives the i-th reduced basis
-    vector in the input basis.  A rational matrix is first scaled by the
-    lcm of its denominators.  This is Cohen's fraction-free integral LLL
-    (*A Course in Computational Algebraic Number Theory*, Alg. 2.6.7),
-    which keeps d_i (the Gram determinant of the first i vectors) and
-    λ_ij = d_j·μ_ij as integers.  Raises ValueError when the matrix is not
-    symmetric positive definite.
-    """
-    m = mat(gram)
-    n = len(m)
-    if any(len(row) != n or m[i][j] != m[j][i]
-           for i, row in enumerate(m) for j in range(len(row))):
+    rows = [
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        for row in gram
+    ]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("gram matrix must be square and symmetric")
-    den = lcm(*(x.denominator for row in m for x in row))
+    pairs = [[(x.numerator, x.denominator) for x in row] for row in rows]
+    den = lcm(*(q for row in pairs for _, q in row))
     # 1-based as in Cohen; index 0 of every vector array is unused
-    g = [[0] * (n + 1)] + [[0] + [int(x * den) for x in row] for row in m]
+    g = [[0] * (n + 1)] + [[0] + [p * (den // q) for p, q in row] for row in pairs]
+    if any(g[i][j] != g[j][i] for i in range(2, n + 1) for j in range(1, i)):
+        raise ValueError("gram matrix must be square and symmetric")
     h = [[0] * (n + 1)] + [
         [0] + [int(i == j) for j in range(1, n + 1)] for i in range(1, n + 1)
     ]
@@ -299,9 +290,16 @@ def lll_gram(gram) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
     k, kmax = 1, 0
     while k <= n:
         if k > kmax:
+            # Gram-Schmidt row k; every division is exact
             kmax = k
-            gram_schmidt_row(g, lam, d, k)
-            if d[k] <= 0:
+            for j in range(1, k + 1):
+                u = g[k][j]
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+            d[k] = u
+            if u <= 0:
                 raise ValueError("gram matrix is not positive definite")
         if k == 1:
             k = 2
@@ -315,7 +313,19 @@ def lll_gram(gram) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
         for l in range(k - 2, 0, -1):
             red(k, l)
         k += 1
+    return den, g, h, lam, d
 
+
+def lll_gram(gram) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
+    """LLL-reduce a positive definite Gram matrix with δ = 99/100.
+
+    Returns ``(G_red, U)`` with ``U`` unimodular over the integers and
+    ``G_red = U·G·Uᵀ``: row i of ``U`` gives the i-th reduced basis
+    vector in the input basis.  A thin ``Fraction`` wrapper over
+    :func:`lll_integral`, which does all the work on integers.  Raises
+    ValueError when the matrix is not symmetric positive definite.
+    """
+    den, g, h, _, _ = lll_integral(gram)
     g_red = tuple(tuple(Fraction(x, den) for x in row[1:]) for row in g[1:])
     return g_red, tuple(tuple(row[1:]) for row in h[1:])
 

@@ -37,6 +37,7 @@ _TRIAL_LIMIT = 1009 * 1009
 # rho meets a cycle mod p after about sqrt(p) < 1.4e6 steps.  The budget is
 # about 7 times that: it admits Brent's rounds up to r = 2**21 (8.4e6
 # steps).  22 products of two primes in [0.9e12, 3.2e12] took at most 3.7e6.
+# From 2**333, a little above 10**100, a step counts more (_step_weight).
 _RHO_STEPS = 10**7
 
 
@@ -97,25 +98,38 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _step_weight(n: int) -> int:
+    """What one rho step on n counts against _RHO_STEPS: ⌈bits/333⌉².
+
+    A step is a multiplication mod n, whose cost grows about as the square
+    of the size of n, so the budget bounds time rather than steps.  Every
+    n below 2**333, so every n below 10**100, counts 1.
+    """
+    return ((n.bit_length() + 332) // 333) ** 2
+
+
 def _rho(n: int) -> int:
     """A proper factor of an odd composite n that is not a perfect power.
 
     Pollard's rho with Brent's cycle finding on x -> x² + c, gcds taken
     over batches of products; c runs through 1, 2, 3, ... so the result is
     deterministic.  Each round of r costs at most 2r steps of the map; the
-    steps of all c together are counted once per round, and a round that
-    would take them past _RHO_STEPS raises NumberTooLarge instead.
+    steps of all c together are counted once per round, each weighted by
+    _step_weight(n), and a round that would take them past _RHO_STEPS
+    raises NumberTooLarge instead.
     """
     batch = 128
+    weight = _step_weight(n)
     steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            steps += 2 * r
+            steps += 2 * r * weight
             if steps > _RHO_STEPS:
                 raise NumberTooLarge(
                     f"{n} is composite, but Brent's rho found no factor of it "
-                    f"within its budget of {_RHO_STEPS} steps"
+                    f"within its budget of {_RHO_STEPS} steps, each step on "
+                    f"this {n.bit_length()}-bit number counted {weight} times"
                 )
             x = y
             for _ in range(r):
@@ -166,7 +180,7 @@ def factorint(n: int) -> dict[int, int]:
     Small primes are divided out, and each cofactor is split by Brent's
     rho.  Raises NumberTooLarge if a cofactor at or above PRIMALITY_CAP
     looks prime, or if rho finds no factor of a cofactor within
-    _RHO_STEPS steps.
+    _RHO_STEPS steps, weighted by the cofactor's size (_step_weight).
     """
     if n == 0:
         raise ValueError("cannot factor zero")

@@ -162,6 +162,14 @@ def test_exists_examples():
     assert not ok and "even power" in reason
 
 
+def test_exists_raises_past_the_search_bound():
+    # (i-j)^7 has nrd 128 and lies in the Hurwitz order, so a False here
+    # would be wrong; the bound is a limit of the search, not an answer
+    hur = preset_order("hurwitz", QuaternionAlgebra(-1, -1))
+    with pytest.raises(NoPlanFound, match="search bound"):
+        exists_arakelov_modular(hur.algebra, hur, 128)
+
+
 def test_exists_matches_arithmetic_criterion_for_hurwitz():
     # over (-1,-1) (ramified exactly at 2) a level works iff it is an odd
     # power of 2 times a coprime square; (i-j)^r supplies the witness, so

@@ -144,11 +144,22 @@ def test_classify_above_primality_cap_exits_1():
 
 def test_classify_beyond_rho_budget_exits_1():
     # 10**103 + 7 = 131 · c, c a 101-digit composite that rho cannot split
-    # within its step budget (about 10 s at this size)
+    # within its step budget (about 3 s at this size, each step counted 4 times)
     proc = run_process("-m", "amlat.cli", "classify", "--ell", str(10**103 + 7))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "budget of 10000000 steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_classify_1000_digits_exits_1_within_a_minute():
+    # rho's budget is charged by cost, so a 1001-digit composite cofactor
+    # (each step counted 100 times) is refused in seconds, not hours
+    proc = run_process("-m", "amlat.cli", "classify", "--ell", str(10**1000 + 7))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "budget of 10000000 steps" in proc.stderr
+    assert "counted 100 times" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -329,6 +329,43 @@ def test_minimum_vs_brute_force_oracle(hurwitz, case2):
         assert minimum_and_kissing(gram) == brute_min_kissing(gram)
 
 
+# (min, kissing) of construct(l) at levels of each stratum of the
+# benchmark's minima workload
+CONSTRUCTED_MINIMA = {
+    2003: (2, 4), 2999: (2, 4), 269: (2, 2), 409: (2, 2), 233: (2, 6),
+    457: (2, 2), 27: (6, 12), 243: (18, 12), 1331: (22, 4),
+}
+
+
+def least_and_count(gram, bound):
+    """The least value short_vectors finds up to bound, and how often."""
+    vals = [val for _, val in short_vectors(gram, bound)]
+    return min(vals), vals.count(min(vals))
+
+
+@pytest.mark.parametrize("ell", sorted(CONSTRUCTED_MINIMA))
+def test_minimum_of_constructed_lattices(ell):
+    # minimum_and_kissing counts in reduced coordinates without mapping
+    # back; short_vectors maps every vector to the input basis
+    gram = construct(ell)[0].gram
+    got = minimum_and_kissing(gram)
+    assert got == CONSTRUCTED_MINIMA[ell]
+    assert got == least_and_count(gram, min(gram[k][k] for k in range(4)))
+
+
+def test_minimum_of_rational_gram_vs_brute_force():
+    # denominators 2 and 3; the minimum 2/3 lies below every diagonal entry
+    gram = [
+        [F(7, 3), -2, -1, -1],
+        [-2, F(7, 3), F(1, 3), 0],
+        [-1, F(1, 3), 4, F(3, 2)],
+        [-1, 0, F(3, 2), 2],
+    ]
+    got = minimum_and_kissing(gram)
+    assert got == brute_min_kissing(gram) == (F(2, 3), 6)
+    assert got == least_and_count(gram, 2)
+
+
 def test_vector_counts_match_closed_form(hurwitz):
     # the norm form of the (-1,-1) maximal order has exactly 24*sigma(m)
     # vectors of value 2m, sigma summing the odd divisors of m

@@ -213,6 +213,13 @@ def test_rho_budget_is_refused_by_name(monkeypatch):
     assert factorint(2**61 - 1) == {2**61 - 1: 1}  # primes never reach rho
 
 
+def test_rho_step_weight_grows_with_size():
+    # one step counts once below 10**100, so no outcome there changes
+    assert numth._step_weight(10**100 - 1) == numth._step_weight(2**333 - 1) == 1
+    assert numth._step_weight(2**333) == 4
+    assert numth._step_weight(10**1000 + 7) == 100
+
+
 def test_primality_cap_is_refused():
     assert PRIMALITY_CAP == 3317044064679887385961981
     with pytest.raises(NumberTooLarge, match="3317044064679887385961981"):
