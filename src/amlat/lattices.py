@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
+from operator import mul
 
 from .linalg import (
     Mat,
@@ -240,9 +241,13 @@ def short_vectors(gram, bound):
     bound = Fraction(bound)
     if bound < 0:
         return
-    cols = tuple(zip(*(row[1:] for row in u[1:])))
+    u = [row[1:] for row in u[1:]]
+    n = len(u)
+    # an input that is already reduced, as minimum_and_kissing's is, keeps U = I
+    same = u == [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    cols = tuple(zip(*u))
     for y, val in _enumerate(lam, d, bound.numerator * den // bound.denominator):
-        x = tuple(sum(a * b for a, b in zip(y, col)) for col in cols)
+        x = tuple(y) if same else tuple(sum(map(mul, y, col)) for col in cols)
         yield x, Fraction(val, den)
 
 
@@ -250,14 +255,19 @@ def minimum_and_kissing(gram) -> tuple[Fraction, int]:
     """Exact minimum of the quadratic form over nonzero integer vectors,
     together with the number of vectors attaining it (counting both signs).
 
-    Runs on integers from input to answer: the search starts at the least
-    diagonal entry of the LLL-reduced matrix den·G_red, which is already
-    the minimum or close to it, and counts the vectors in reduced
-    coordinates without mapping them back to the input basis."""
-    den, g, _, lam, d = lll_integral(gram)
-    best = min(g[k][k] for k in range(1, len(g)))
+    The minimum and the kissing number do not change under a change of
+    basis or a scaling, so they are counted among the :func:`short_vectors`
+    of the integral matrix den·G_red that :func:`lll_integral` returns, up
+    to its least diagonal entry, which is already the minimum or close to
+    it.  There the reduction inside short_vectors is one pass without a
+    swap, U = I, and every value is an integer; the one ``Fraction`` built
+    is the minimum."""
+    den, g, _, _, _ = lll_integral(gram)
+    reduced = [row[1:] for row in g[1:]]
+    best = min(reduced[k][k] for k in range(len(reduced)))
     count = 0
-    for _, val in _enumerate(lam, d, best):
+    for _, val in short_vectors(reduced, best):
+        val = val.numerator
         if val < best:
             best = val
             count = 1

@@ -228,8 +228,7 @@ def lll_integral(gram) -> tuple[int, list, list, list, list]:
     """Cohen's fraction-free integral LLL with δ = 99/100, on plain ints.
 
     The rational Gram matrix G is scaled by den, the lcm of its entries'
-    denominators, and each entry's numerator and denominator is read once
-    (entries may be anything ``Fraction`` accepts).  Returns
+    denominators (entries may be anything ``Fraction`` accepts).  Returns
     ``(den, g, h, lam, d)``, all 1-based (row and column 0 unused,
     ``d[0] = 1``): ``g = den·U·G·Uᵀ`` and ``h = U`` with ``U`` unimodular,
     and the fraction-free Gram-Schmidt data of the reduced basis,
@@ -245,15 +244,14 @@ def lll_integral(gram) -> tuple[int, list, list, list, list]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("gram matrix must be square and symmetric")
-    pairs = [[(x.numerator, x.denominator) for x in row] for row in rows]
-    den = lcm(*(q for row in pairs for _, q in row))
+    den = lcm(*(x.denominator for row in rows for x in row))
     # 1-based as in Cohen; index 0 of every vector array is unused
-    g = [[0] * (n + 1)] + [[0] + [p * (den // q) for p, q in row] for row in pairs]
+    g = [[0] * (n + 1)] + [
+        [0] + [x.numerator * (den // x.denominator) for x in row] for row in rows
+    ]
     if any(g[i][j] != g[j][i] for i in range(2, n + 1) for j in range(1, i)):
         raise ValueError("gram matrix must be square and symmetric")
-    h = [[0] * (n + 1)] + [
-        [0] + [int(i == j) for j in range(1, n + 1)] for i in range(1, n + 1)
-    ]
+    h = [[0] * (n + 1)] + [[0] * i + [1] + [0] * (n - i) for i in range(1, n + 1)]
     lam = [[0] * (n + 1) for _ in range(n + 1)]
     d = [1] + [0] * n
 

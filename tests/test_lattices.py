@@ -19,7 +19,16 @@ from amlat.lattices import (
     short_vectors,
     verify_arakelov_modular,
 )
-from amlat.linalg import det, identity, inverse, mat, mat_mul, transpose, vec_mat
+from amlat.linalg import (
+    det,
+    identity,
+    inverse,
+    lll_gram,
+    mat,
+    mat_mul,
+    transpose,
+    vec_mat,
+)
 from amlat.orders import (
     TwoSidedIdeal,
     ZLat4,
@@ -345,12 +354,25 @@ def least_and_count(gram, bound):
 
 @pytest.mark.parametrize("ell", sorted(CONSTRUCTED_MINIMA))
 def test_minimum_of_constructed_lattices(ell):
-    # minimum_and_kissing counts in reduced coordinates without mapping
-    # back; short_vectors maps every vector to the input basis
+    # minimum_and_kissing counts the short vectors of the reduced integral
+    # matrix; here short_vectors maps every vector to the input basis
     gram = construct(ell)[0].gram
     got = minimum_and_kissing(gram)
     assert got == CONSTRUCTED_MINIMA[ell]
     assert got == least_and_count(gram, min(gram[k][k] for k in range(4)))
+
+
+@pytest.mark.parametrize("ell", [27, 233, 2003])
+def test_short_vectors_of_a_reduced_gram(ell):
+    # on an LLL-reduced matrix U = I, so coordinates come back unmapped;
+    # they must still be vectors of that matrix, as many as of the input
+    gram = construct(ell)[0].gram
+    reduced, _ = lll_gram(gram)
+    bound = 3 * minimum_and_kissing(gram)[0]
+    got = list(short_vectors(reduced, bound))
+    for x, val in got:
+        assert sum(a * b for a, b in zip(vec_mat(x, reduced), x)) == val <= bound
+    assert len(set(got)) == len(got) == sum(1 for _ in short_vectors(gram, bound))
 
 
 def test_minimum_of_rational_gram_vs_brute_force():
