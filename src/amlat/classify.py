@@ -9,10 +9,9 @@ by an explicit certificate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 
 from .lattices import (
     IdealLattice,
@@ -26,6 +25,8 @@ from .orders import (
     Order,
     TwoSidedIdeal,
     ZLat4,
+    _ideal_of_norm,
+    _is_two_sided,
     maximalize,
     normalizer_contains,
     order_from_basis,
@@ -33,14 +34,11 @@ from .orders import (
 )
 from .quaternion import QElem, QuaternionAlgebra
 
-SEARCH_BOUND_ENV = "AMLAT_SEARCH_BOUND"
-DEFAULT_SEARCH_BOUND = 64
-
 _STANDARD_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class NoPlanFound(Exception):
-    """No construction exists (or none was found) for the requested level."""
+    """No construction exists for the requested level."""
 
 
 class RamificationCheckFailed(ArithmeticError):
@@ -49,10 +47,6 @@ class RamificationCheckFailed(ArithmeticError):
 
 class BetaVerificationFailed(ArithmeticError):
     """The case element failed order/normalizer/norm verification (bug guard)."""
-
-
-def _search_bound() -> int:
-    return int(os.environ.get(SEARCH_BOUND_ENV, DEFAULT_SEARCH_BOUND))
 
 
 @dataclass(frozen=True)
@@ -170,27 +164,27 @@ def beta_for(algebra: QuaternionAlgebra, order: Order, case: int | None) -> QEle
 
 
 def search_beta(order: Order, m: int) -> QElem | None:
-    """Find x in the order with nrd(x) = m normalizing it, by exhaustive
-    enumeration of the shell q_1(x) = 2m; None when the shell is empty.
+    """An x in the maximal order with nrd(x) = m that normalizes it, or None.
 
-    The shell target m is capped by AMLAT_SEARCH_BOUND (default 64)."""
-    bound = _search_bound()
-    if m > bound:
-        raise NoPlanFound(
-            f"norm target {m} exceeds the search bound {bound}; "
-            f"raise {SEARCH_BOUND_ENV} to search further"
-        )
-    unit = IdealLattice(TwoSidedIdeal.unit(order), Fraction(1))
-    basis = order.lattice.elements()
-    for coords, val in short_vectors(unit.gram, 2 * m):
-        if val != 2 * m:
-            continue
+    Such an x generates the two-sided ideal I_m of reduced norm m, and m
+    divides nrd(y) for every y in I_m, so the shell q_1(y) = 2m of I_m
+    holds exactly its generators: one exact enumeration decides whether
+    I_m is principal (Kirschmer and Voight, SIAM J. Comput. 39 (2010)).
+    Raises ValueError for an order that is not maximal."""
+    if m < 1:
+        return None
+    ideal = _ideal_of_norm(order, m)
+    if ideal is None:
+        return None
+    basis = ideal.lattice.elements()
+    for coords, _ in short_vectors(IdealLattice(ideal, Fraction(1)).gram, 2 * m):
         x = order.algebra.scalar(0)
         for c, w in zip(coords, basis):
             if c:
                 x = x + c * w
-        if normalizer_contains(order, x):
-            return x
+        if x.nrd() != m or not normalizer_contains(order, x):
+            raise BetaVerificationFailed(f"{x!r} does not generate I_{m}")
+        return x
     return None
 
 
@@ -291,11 +285,8 @@ def ideal_for(
     rows = [(s * beta * w).coords() for w in elems]
     rows += [(s * d_t * w).coords() for w in elems]
     lat = ZLat4.from_rows(order.algebra, rows)
-    j_elems = lat.elements()
-    for u in elems:
-        for v in j_elems:
-            if not (lat.contains(u * v) and lat.contains(v * u)):
-                raise NotTwoSided(f"{beta!r} does not give a two-sided ideal")
+    if not _is_two_sided(order, lat):
+        raise NotTwoSided(f"{beta!r} does not give a two-sided ideal")
     return TwoSidedIdeal(order, lat, order.algebra.one)
 
 
@@ -329,33 +320,22 @@ def exists_arakelov_modular(
     """Decide whether a level-ell lattice exists over the given maximal order.
 
     Checks the exponent conditions against the algebra's ramification and
-    then searches for a normalizing element of the right reduced norm.
-    A False is exact.  When the norm target exceeds AMLAT_SEARCH_BOUND,
-    search_beta's NoPlanFound propagates: not found within the bound is
-    not an answer.
+    then decides with search_beta whether the order has a normalizing
+    element of reduced norm ell2.  Both answers are exact.
     """
     if ell < 1:
         raise ValueError("level must be positive")
     if not algebra.is_totally_definite:
         raise ValueError("algebra must be totally definite")
     ram = algebra.ramified_primes
-    fact = factorint(ell) if ell > 1 else {}
+    split = split_level(ell)
     for p in ram:
-        if fact.get(p, 0) % 2 == 0:
-            return False, (
-                f"ramified prime {p} must divide the level to an odd power"
-            )
-    ell2 = 1
-    for p in ram:
-        ell2 *= p ** fact[p]
-    rest = ell // ell2
-    r = isqrt(rest)
-    if r * r != rest:
-        bad = next(p for p, e in fact.items() if p not in ram and e % 2)
-        return False, (
-            f"unramified prime {bad} must divide the level to an even power"
-        )
-    beta2 = search_beta(order, ell2)
+        if p not in split.odd_support:
+            return False, f"ramified prime {p} must divide the level to an odd power"
+    for p in split.odd_support:
+        if p not in ram:
+            return False, f"unramified prime {p} must divide the level to an even power"
+    beta2 = search_beta(order, split.ell2)
     if beta2 is None:
-        return False, f"no normalizing element of reduced norm {ell2}"
-    return True, f"constructible with alpha = {r} and beta2 = {beta2!r}"
+        return False, f"no normalizing element of reduced norm {split.ell2}"
+    return True, f"constructible with alpha = {split.ell1} and beta2 = {beta2!r}"

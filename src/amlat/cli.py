@@ -6,7 +6,7 @@ output key order is fixed, so results are byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 malformed input or a number whose primality
 would have to be proved at or above numth.PRIMALITY_CAP, 2 no construction
-exists or was found, 3 verification failed.
+exists, 3 verification failed.
 """
 
 from __future__ import annotations

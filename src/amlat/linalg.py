@@ -314,20 +314,6 @@ def lll_integral(gram) -> tuple[int, list, list, list, list]:
     return den, g, h, lam, d
 
 
-def lll_gram(gram) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
-    """LLL-reduce a positive definite Gram matrix with δ = 99/100.
-
-    Returns ``(G_red, U)`` with ``U`` unimodular over the integers and
-    ``G_red = U·G·Uᵀ``: row i of ``U`` gives the i-th reduced basis
-    vector in the input basis.  A thin ``Fraction`` wrapper over
-    :func:`lll_integral`, which does all the work on integers.  Raises
-    ValueError when the matrix is not symmetric positive definite.
-    """
-    den, g, h, _, _ = lll_integral(gram)
-    g_red = tuple(tuple(Fraction(x, den) for x in row[1:]) for row in g[1:])
-    return g_red, tuple(tuple(row[1:]) for row in h[1:])
-
-
 # --- small dense linear algebra over the prime field F_p ---------------------
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 from .linalg import (
     Mat,
@@ -236,6 +236,17 @@ def right_order(lat: ZLat4) -> Order:
     return order_from_basis(lat.algebra, lattice_intersect(bases))
 
 
+def _is_two_sided(order: Order, lat: ZLat4) -> bool:
+    """Whether the 32 products Lambda·L and L·Lambda of basis elements lie
+    in L.  For a maximal Lambda this proves that the left and right orders
+    of L are both Lambda, since each contains it."""
+    elems = order.lattice.elements()
+    l_elems = lat.elements()
+    return all(
+        lat.contains(u * v) and lat.contains(v * u) for u in elems for v in l_elems
+    )
+
+
 @dataclass(frozen=True)
 class TwoSidedIdeal:
     """A generalized two-sided ideal I = J*t with J two-sided over the order.
@@ -250,11 +261,11 @@ class TwoSidedIdeal:
 
     @classmethod
     def from_lattice(cls, order: Order, lat: ZLat4) -> "TwoSidedIdeal":
-        """Wrap a lattice that is two-sided over the order (t = 1)."""
-        if left_order(lat).lattice != order.lattice:
-            raise NotTwoSided("left order differs from the given order")
-        if right_order(lat).lattice != order.lattice:
-            raise NotTwoSided("right order differs from the given order")
+        """Wrap a lattice that is two-sided over the maximal order (t = 1)."""
+        if not is_maximal(order):
+            raise NotTwoSided("two-sidedness is proved only over a maximal order")
+        if not _is_two_sided(order, lat):
+            raise NotTwoSided("Lambda·L or L·Lambda is not inside L")
         return cls(order, lat, order.algebra.one)
 
     @classmethod
@@ -312,14 +323,13 @@ def ideal_pow(a: TwoSidedIdeal, n: int) -> TwoSidedIdeal:
 
 
 def ideal_inverse(a: TwoSidedIdeal) -> TwoSidedIdeal:
-    """The inverse {x : I*x inside Lambda}; verified by multiplying back."""
-    lam = a.order.lattice
-    bases = [
-        mat_mul(lam.basis, inverse(_lmul_matrix(b))) for b in a.lattice.elements()
-    ]
-    inv_lat = ZLat4.from_rows(a.order.algebra, lattice_intersect(bases))
+    """The inverse conj(I)·n(I)^-1, since I·conj(I) = n(I)·Lambda for a
+    two-sided I; verified by multiplying back."""
+    if a.t != a.order.algebra.one:
+        raise ValueError("ideal inverses require a two-sided operand (t = 1)")
+    inv_lat = a.lattice.conjugated().scaled(1 / a.reduced_norm)
     inv = TwoSidedIdeal.from_lattice(a.order, inv_lat)
-    if ideal_mul(a, inv).lattice != lam:
+    if ideal_mul(a, inv).lattice != a.order.lattice:
         raise InverseVerificationFailed("I * I^-1 is not the order")
     return inv
 
@@ -339,7 +349,44 @@ def normalizer_contains(order: Order, g: QElem) -> bool:
     return all(lat.contains(g * v * ginv) for v in lat.elements())
 
 
-# --- the radical of Lambda/p·Lambda and prime ideals --------------------------
+# --- two-sided ideals of a maximal order, in closed form -----------------------
+
+
+def _ideal_of_norm(order: Order, m: int) -> TwoSidedIdeal | None:
+    """The two-sided ideal I_m of reduced norm m >= 1 of the maximal order
+    Lambda, or None when there is none.
+
+    Locally the two-sided ideals of Lambda are the p^k·Lambda_p at an
+    unramified p and the powers of the prime P_p, P_p^2 = p·Lambda_p, at
+    a ramified p.  So I_m exists exactly when every prime dividing m to
+    an odd power divides D, and then I_m = sqrt(m/d)·(D·Lambda^# + d·Lambda)
+    with d the product of those primes: the different D·Lambda^# is the
+    product of all the P_p, and adding d·Lambda keeps the P_p with p | d.
+    """
+    if not is_maximal(order):
+        raise ValueError("closed-form ideals need a maximal order")
+    d = prod(p for p in order.algebra.ramified_primes if _val(m, p)[0] % 2)
+    s = isqrt(m // d)
+    if s * s * d != m:
+        return None
+    disc = order.reduced_disc
+    rows = [tuple(disc * x for x in row) for row in codifferent(order).basis]
+    rows += [tuple(d * x for x in row) for row in order.lattice.basis]
+    lat = ZLat4.from_rows(order.algebra, rows).scaled(s)
+    return TwoSidedIdeal(order, lat, order.algebra.one)
+
+
+def prime_ideal_above(order: Order, p: int) -> TwoSidedIdeal:
+    """The unique two-sided prime P over a ramified p, with P^2 = p·Lambda."""
+    if p not in order.algebra.ramified_primes:
+        raise NotRamified(f"{p} is not ramified in {order.algebra!r}")
+    prime = _ideal_of_norm(order, p)
+    if ideal_mul(prime, prime).lattice != order.lattice.scaled(p):
+        raise ArithmeticError(f"P^2 != {p}·Lambda")  # pragma: no cover
+    return prime
+
+
+# --- the radical of Lambda/p·Lambda, for the climb to a maximal order ---------
 
 
 def _modp_mul(sc, x, y, p):
@@ -426,20 +473,6 @@ def _radical_lift_lattice(order: Order, p: int, rad) -> ZLat4:
             )
         )
     return ZLat4.from_rows(order.algebra, rows)
-
-
-def prime_ideal_above(order: Order, p: int) -> TwoSidedIdeal:
-    """The unique two-sided prime P over a ramified p, with P^2 = p·Lambda."""
-    if p not in order.algebra.ramified_primes:
-        raise NotRamified(f"{p} is not ramified in {order.algebra!r}")
-    rad = radical_mod_p(order, p)
-    lat = _radical_lift_lattice(order, p, rad)
-    prime = TwoSidedIdeal.from_lattice(order, lat)
-    if ideal_mul(prime, prime).lattice != order.lattice.scaled(p):
-        raise ArithmeticError(
-            f"P^2 != {p}·Lambda for the radical lift"
-        )  # pragma: no cover
-    return prime
 
 
 # --- maximalization ----------------------------------------------------------

@@ -136,13 +136,50 @@ def test_search_beta_finds_witness():
     assert normalizer_contains(hur, beta)
 
 
-def test_search_beta_respects_bound(monkeypatch):
+def test_search_beta_reads_no_bound(monkeypatch):
+    # the search is exact at every norm: the environment variable that
+    # used to cap it has no effect, and (i-j)^21 is found at 2^21
     hur = preset_order("hurwitz", QuaternionAlgebra(-1, -1))
     monkeypatch.setenv("AMLAT_SEARCH_BOUND", "4")
-    with pytest.raises(NoPlanFound, match="search bound"):
-        search_beta(hur, 8)
-    monkeypatch.setenv("AMLAT_SEARCH_BOUND", "8")
-    assert search_beta(hur, 8) is not None
+    for m in (8, 2**21):
+        beta = search_beta(hur, m)
+        assert beta is not None and beta.nrd() == m, m
+        assert hur.lattice.contains(beta) and normalizer_contains(hur, beta)
+
+
+def test_search_beta_needs_a_maximal_order_and_a_positive_norm():
+    hur = preset_order("hurwitz", QuaternionAlgebra(-1, -1))
+    for m in (0, -1, -2):
+        assert search_beta(hur, m) is None
+    std = order_from_basis(QuaternionAlgebra(-1, -1), STD)
+    with pytest.raises(ValueError, match="maximal"):
+        search_beta(std, 2)
+
+
+def _search_beta_orders():
+    climbed = maximalize(order_from_basis(QuaternionAlgebra(-5, -13), STD))
+    return [
+        preset_order("hurwitz", QuaternionAlgebra(-1, -1)),
+        preset_order("case2", QuaternionAlgebra(-1, -3)),
+        preset_order("case3", QuaternionAlgebra(-2, -5)),
+        preset_order("ell17", QuaternionAlgebra(-3, -17)),
+        climbed,
+        plan_level(30).order,
+        plan_level(130).order,
+    ]
+
+
+def test_search_beta_agrees_with_shell_scan(shell_scan_beta):
+    # the shell of I_m has a vector exactly when the shell of the order
+    # has a normalizing one; the two may pick different generators
+    for order in _search_beta_orders():
+        for m in range(1, 17):
+            want = shell_scan_beta(order, m)
+            got = search_beta(order, m)
+            assert (got is None) == (want is None), (order.algebra, m)
+            if got is not None:
+                assert got.nrd() == m and order.lattice.contains(got)
+                assert normalizer_contains(order, got)
 
 
 def test_exists_examples():
@@ -162,12 +199,15 @@ def test_exists_examples():
     assert not ok and "even power" in reason
 
 
-def test_exists_raises_past_the_search_bound():
-    # (i-j)^7 has nrd 128 and lies in the Hurwitz order, so a False here
-    # would be wrong; the bound is a limit of the search, not an answer
+def test_exists_is_exact_past_the_old_search_bound():
+    # (i-j)^7 has nrd 128 and lies in the Hurwitz order; the search that
+    # was capped at 64 refused this level, the exact one finds a witness
     hur = preset_order("hurwitz", QuaternionAlgebra(-1, -1))
-    with pytest.raises(NoPlanFound, match="search bound"):
-        exists_arakelov_modular(hur.algebra, hur, 128)
+    ok, reason = exists_arakelov_modular(hur.algebra, hur, 128)
+    assert ok and "alpha = 1" in reason
+    beta2 = search_beta(hur, 128)
+    assert repr(beta2) in reason
+    assert beta2.nrd() == 128 and normalizer_contains(hur, beta2)
 
 
 def test_exists_matches_arithmetic_criterion_for_hurwitz():
@@ -175,7 +215,7 @@ def test_exists_matches_arithmetic_criterion_for_hurwitz():
     # power of 2 times a coprime square; (i-j)^r supplies the witness, so
     # the search must agree with the closed-form criterion exactly
     hur = preset_order("hurwitz", QuaternionAlgebra(-1, -1))
-    for ell in range(1, 65):
+    for ell in range(1, 2001):
         v2 = 0
         m = ell
         while m % 2 == 0:
@@ -277,11 +317,10 @@ def test_construct_130_is_certified():
     assert lat.discriminant == 130**2
 
 
-def test_search_beta_none_for_minus5_minus13(monkeypatch):
+def test_search_beta_none_for_minus5_minus13():
     # (-5,-13) also ramifies exactly at {2, 5, 13}, but the maximal order
     # the climb reaches there has no normalizing element of reduced norm
     # 130; level 130 needs another order (Pizer's, in (-67, -130))
-    monkeypatch.setenv("AMLAT_SEARCH_BOUND", "130")
     alg = QuaternionAlgebra(-5, -13)
     order = maximalize(order_from_basis(alg, STD))
     assert order.reduced_disc == 130

@@ -23,7 +23,6 @@ from amlat.linalg import (
     det,
     identity,
     inverse,
-    lll_gram,
     mat,
     mat_mul,
     transpose,
@@ -363,11 +362,11 @@ def test_minimum_of_constructed_lattices(ell):
 
 
 @pytest.mark.parametrize("ell", [27, 233, 2003])
-def test_short_vectors_of_a_reduced_gram(ell):
+def test_short_vectors_of_a_reduced_gram(lll_reduced, ell):
     # on an LLL-reduced matrix U = I, so coordinates come back unmapped;
     # they must still be vectors of that matrix, as many as of the input
     gram = construct(ell)[0].gram
-    reduced, _ = lll_gram(gram)
+    reduced, _ = lll_reduced(gram)
     bound = 3 * minimum_and_kissing(gram)[0]
     got = list(short_vectors(reduced, bound))
     for x, val in got:

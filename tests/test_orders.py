@@ -1,9 +1,17 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from amlat import orders
-from amlat.classify import algebra_for_prime, residue_case
+from amlat import linalg, orders
+from amlat.classify import (
+    NoPlanFound,
+    algebra_for_prime,
+    exists_arakelov_modular,
+    plan_level,
+    residue_case,
+    search_beta,
+)
 from amlat.linalg import det
 from amlat.numth import is_prime
 from amlat.orders import (
@@ -318,6 +326,72 @@ def test_prime_squares_all_catalog(catalog):
             prime = prime_ideal_above(order, p)
             assert ideal_mul(prime, prime).lattice == order.lattice.scaled(p)
             assert prime.reduced_norm == p
+
+
+def _pizer_orders_to(bound):
+    out = {}
+    for ell in range(2, bound + 1):
+        try:
+            plan = plan_level(ell)
+        except NoPlanFound:
+            continue
+        if plan.case in (4, None):
+            out.setdefault(plan.algebra, plan.order)
+    return list(out.values())
+
+
+def test_prime_ideal_is_the_radical_lift(catalog):
+    # the closed form D·Lambda^# + p·Lambda against the lift of the
+    # radical of Lambda/p·Lambda, which the climb still uses; 27 Pizer
+    # orders with 65 ramified primes besides the 4 catalog ones
+    pairs = 0
+    for order in catalog + _pizer_orders_to(200):
+        for p in order.algebra.ramified_primes:
+            lift = orders._radical_lift_lattice(order, p, radical_mod_p(order, p))
+            assert prime_ideal_above(order, p).lattice == lift, (order.algebra, p)
+            pairs += 1
+    assert pairs == 4 + 65
+
+
+def test_ideal_of_norm_needs_a_maximal_order(hurwitz):
+    std = order_from_basis(hurwitz.algebra, STD)
+    with pytest.raises(ValueError, match="maximal"):
+        orders._ideal_of_norm(std, 2)
+    with pytest.raises(ValueError, match="maximal"):
+        prime_ideal_above(std, 2)
+    with pytest.raises(NotTwoSided, match="maximal"):
+        TwoSidedIdeal.from_lattice(std, std.lattice)
+    # 3 divides 24 to an odd power and is unramified in (-1,-1)
+    assert orders._ideal_of_norm(hurwitz, 24) is None
+    assert orders._ideal_of_norm(hurwitz, 72).reduced_norm == 72
+
+
+def test_ideals_of_a_maximal_order_need_no_climb(monkeypatch, catalog):
+    # the radical, the left and right orders and the lattice intersection
+    # serve only maximalize; every binding of them in the package is
+    # replaced, and the ideal API over maximal orders must not notice
+    def forbidden(*args, **kwargs):
+        raise AssertionError("climb machinery outside maximalize")
+
+    found = {name: getattr(orders, name) for name in (
+        "radical_mod_p", "_radical_lift_lattice", "left_order", "right_order"
+    )}
+    found["lattice_intersect"] = linalg.lattice_intersect
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "amlat"]:
+        for name, original in found.items():
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, forbidden)
+    for order in catalog:
+        p = order.algebra.ramified_primes[0]
+        prime = prime_ideal_above(order, p)
+        cube = ideal_mul(prime, ideal_mul(prime, prime))
+        assert ideal_mul(cube, ideal_inverse(cube)).lattice == order.lattice
+        diff = ideal_inverse(TwoSidedIdeal.from_lattice(order, codifferent(order)))
+        assert diff.reduced_norm == order.reduced_disc
+        assert search_beta(order, p**3).nrd() == p**3
+        # 7 is unramified in every catalog algebra
+        assert exists_arakelov_modular(order.algebra, order, 49 * p**3)[0]
+        assert not exists_arakelov_modular(order.algebra, order, 49 * p**2)[0]
 
 
 def test_nrd_ideal_examples(hurwitz):
